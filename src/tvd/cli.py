@@ -146,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output file, or directory when several scenarios are given")
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads across scenarios; output is identical for any value")
+                       help="worker threads across scenarios; output is identical for any value "
+                            "(threads share the interpreter lock: no reliable speed-up on 2 cores)")
     _add_shared_args(check)
 
     models = sub.add_parser("models", help="emit a built-in model scenario")

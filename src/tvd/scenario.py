@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -117,6 +120,15 @@ def _canonical(value: object, out: list[str]) -> None:
             _canonical(item, out)
         out.append("]")
     elif isinstance(value, np.ndarray):
+        if value.dtype == np.complex128 and value.ndim in (1, 2):
+            # + 0.0 folds -0.0 into 0.0, which '%.17g' renders as "0" like _format_real
+            pairs = (np.ascontiguousarray(value) + 0.0).view(np.float64)
+            if np.isfinite(pairs).all():
+                fmt = "[" + ",".join(["[%.17g,%.17g]"] * value.shape[-1]) + "]"
+                if value.ndim == 2:
+                    fmt = "[" + ",".join([fmt] * value.shape[0]) + "]"
+                out.append(fmt % tuple(pairs.ravel().tolist()))
+                return
         _canonical(value.tolist(), out)
     else:
         raise ScenarioError(f"cannot serialize value of type {type(value).__name__}")
@@ -129,12 +141,10 @@ def canonical_dumps(value: object) -> bytes:
     return "".join(out).encode("ascii")
 
 
-def _matrix_jsonable(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _vector_jsonable(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+def _complex_pairs(a: np.ndarray) -> list:
+    """The array as nested ``[re, im]`` lists of Python floats."""
+    c = np.ascontiguousarray(a, dtype=complex)
+    return c.view(np.float64).reshape(c.shape + (2,)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +162,16 @@ def _expect(condition: bool, message: str, path: str) -> None:
         raise ScenarioError(message, path)
 
 
+def _finite_real(x: object) -> bool:
+    """True for an int or float that is finite as a float; an int too large for a float is not."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _parse_complex_entry(entry: object, path: str) -> complex:
     _expect(
         isinstance(entry, (list, tuple)) and len(entry) == 2,
@@ -160,15 +180,41 @@ def _parse_complex_entry(entry: object, path: str) -> complex:
     )
     re_part, im_part = entry  # type: ignore[misc]
     for part in (re_part, im_part):
-        _expect(
-            isinstance(part, (int, float)) and not isinstance(part, bool) and math.isfinite(part),
-            "complex entries must hold finite numbers",
-            path,
-        )
+        _expect(_finite_real(part), "complex entries must hold finite numbers", path)
     return complex(re_part, im_part)
 
 
+_JSON_REALS = {int, float}
+
+
+def _whole_complex_array(raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Read nested ``[re, im]`` pairs of finite numbers in one numpy call.
+
+    Returns None for any other input, so that the per-entry walker alone
+    decides what is rejected and with which message. numpy would read
+    ``true`` and ``"1"`` as 1.0, hence the leaf type check.
+    """
+    if type(raw) is not list:
+        return None
+    leaves: object = raw
+    try:
+        for _ in shape:
+            leaves = chain.from_iterable(leaves)  # type: ignore[arg-type]
+        if not set(map(type, leaves)) <= _JSON_REALS:  # type: ignore[arg-type]
+            return None
+        pairs = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.shape != shape + (2,) or not np.isfinite(pairs).all():
+        return None
+    # a view keeps the sign of a -0.0 real part; re + 1j * im would not
+    return pairs.view(np.complex128).reshape(shape)
+
+
 def _parse_matrix(raw: object, dim: int, path: str) -> np.ndarray:
+    fast = _whole_complex_array(raw, (dim, dim))
+    if fast is not None:
+        return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} rows", path)
     rows = []
     for i, row in enumerate(raw):  # type: ignore[union-attr]
@@ -178,16 +224,15 @@ def _parse_matrix(raw: object, dim: int, path: str) -> np.ndarray:
 
 
 def _parse_vector(raw: object, dim: int, path: str) -> np.ndarray:
+    fast = _whole_complex_array(raw, (dim,))
+    if fast is not None:
+        return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} entries", path)
     return np.array([_parse_complex_entry(entry, f"{path}[{k}]") for k, entry in enumerate(raw)], dtype=complex)
 
 
 def _parse_number(raw: object, path: str, *, positive: bool = False) -> float:
-    _expect(
-        isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw),
-        "expected a finite number",
-        path,
-    )
+    _expect(_finite_real(raw), "expected a finite number", path)
     if positive:
         _expect(raw > 0, "expected a positive number", path)
     return float(raw)
@@ -324,25 +369,26 @@ def parse_scenario(data: bytes | str) -> Scenario:
     )
 
 
-def scenario_jsonable(scenario: Scenario) -> dict:
+def _scenario_doc(scenario: Scenario, array: Callable[[np.ndarray], object]) -> dict:
+    """The scenario document, with every matrix and state passed through ``array``."""
     doc: dict[str, object] = {
         "schema_version": scenario.schema_version,
         "dim": scenario.dim,
         "requests": [dict(r.params, detector=r.detector) for r in scenario.requests],
     }
     if scenario.matrices:
-        doc["matrices"] = {name: _matrix_jsonable(m) for name, m in scenario.matrices.items()}
+        doc["matrices"] = {name: array(m) for name, m in scenario.matrices.items()}
     if scenario.symmetries:
         doc["symmetries"] = [
             {
                 "label": label,
-                "unitary_part": _matrix_jsonable(g.unitary_part),
+                "unitary_part": array(g.unitary_part),
                 "antilinear": g.antilinear,
             }
             for label, g in sorted(scenario.symmetries.items())
         ]
     if scenario.states:
-        doc["states"] = {name: _vector_jsonable(v) for name, v in scenario.states.items()}
+        doc["states"] = {name: array(v) for name, v in scenario.states.items()}
     if scenario.tolerance_overrides is not None:
         doc["tolerances"] = dict(scenario.tolerance_overrides)
     if scenario.seed is not None:
@@ -350,8 +396,13 @@ def scenario_jsonable(scenario: Scenario) -> dict:
     return doc
 
 
+def scenario_jsonable(scenario: Scenario) -> dict:
+    """The scenario document as plain JSON types; complex numbers are ``[re, im]`` lists."""
+    return _scenario_doc(scenario, _complex_pairs)
+
+
 def serialize_scenario(scenario: Scenario) -> bytes:
-    return canonical_dumps(scenario_jsonable(scenario))
+    return canonical_dumps(_scenario_doc(scenario, partial(np.asarray, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,17 @@ def test_check_missing_file_names_the_path(capsysbinary):
     assert b"/no/such/scenario.json" in err
 
 
+def test_check_integer_too_large_for_a_float_is_bad_input(tmp_path, capsysbinary):
+    doc = json.loads(KAON_DECAY.read_bytes())
+    doc["matrices"]["smatrix"][0][1] = [10**400, 0]
+    target = tmp_path / "overflow.json"
+    target.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsysbinary, "check", "--scenario", str(target))
+    assert code == 2
+    assert out == b""
+    assert err == b"error: matrices.smatrix[0][1]: complex entries must hold finite numbers\n"
+
+
 def test_check_out_single_file(tmp_path, capsysbinary):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsysbinary, "check", "--scenario", str(KAON_DECAY), "--out", str(target))
