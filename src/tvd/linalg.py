@@ -9,7 +9,9 @@ with unit norm. Inner products are conjugate linear in the first slot:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -172,21 +174,71 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / mag)
 
 
+_T = TypeVar("_T")
+_MEMOS: list[_Memo] = []
+
+
+class _Memo:
+    """A small table of results keyed by exact input content, oldest evicted first.
+
+    Every caller with an equal key gets the same object, so values must be
+    immutable: read-only arrays, frozen dataclasses, floats. Each access is
+    one dict operation or one copy of the keys, so threads sharing a table
+    at worst compute one value twice. Tables live in process memory only.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.table: dict[tuple, object] = {}
+        _MEMOS.append(self)
+
+    def __call__(self, key: tuple, compute: Callable[[], _T]) -> _T:
+        value = self.table.get(key)
+        if value is None:
+            value = compute()
+            self.table[key] = value
+            # list() copies the keys, oldest first, without running bytecode,
+            # so no other thread can change the table during the copy
+            for old in list(self.table)[: -self.size]:
+                self.table.pop(old, None)
+        return value
+
+    def clear(self) -> None:
+        self.table.clear()
+
+
+def _content_key(*parts: object) -> tuple:
+    """A memo key holding each array's shape, dtype and C-order bytes; other parts as given."""
+    return tuple((p.shape, p.dtype.str, p.tobytes()) if isinstance(p, np.ndarray) else p for p in parts)
+
+
+_SPECTRA = _Memo(4)
+
+
 def herm_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
     """Eigendecomposition with a deterministic choice of eigenvectors.
 
     Within each near-degenerate eigenvalue cluster the vectors are
     re-orthonormalized in index order, then every vector gets a canonical
     phase. Repeated calls on equal inputs give identical output.
+
+    Results are memoised by exact content: a matrix with the same shape
+    and bytes as a recent one, under the same ``tau_eig``, gets that
+    call's read-only result object back. The Hermitian check runs on
+    every call, before the lookup.
     """
     arr = require_hermitian(a, tol=tol.tau_zero)
+    return _SPECTRA(_content_key(arr, tol.tau_eig), lambda: _decompose(arr, tol.tau_eig))
+
+
+def _decompose(arr: np.ndarray, tau_eig: float) -> EigenDecomposition:
     herm = (arr + dagger(arr)) / 2.0
     eigenvalues, vectors = np.linalg.eigh(herm)
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     vectors = np.asarray(vectors, dtype=complex).copy()
 
     spread = float(eigenvalues[-1] - eigenvalues[0]) if eigenvalues.size > 1 else 0.0
-    gap_limit = tol.tau_eig * max(1.0, spread)
+    gap_limit = tau_eig * max(1.0, spread)
     start = 0
     for stop in range(1, eigenvalues.size + 1):
         if stop < eigenvalues.size and eigenvalues[stop] - eigenvalues[stop - 1] <= gap_limit:

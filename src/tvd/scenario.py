@@ -254,7 +254,11 @@ def parse_scenario(data: bytes | str) -> Scenario:
     _reject_unknown(doc, _TOP_FIELDS, "")
 
     _expect("schema_version" in doc, "missing schema_version", "document")
-    _expect(doc["schema_version"] == SCHEMA_VERSION, f"unsupported schema_version {doc['schema_version']!r}", "schema_version")
+    _expect(
+        type(doc["schema_version"]) is int and doc["schema_version"] == SCHEMA_VERSION,
+        f"unsupported schema_version {doc['schema_version']!r}",
+        "schema_version",
+    )
     _expect("dim" in doc, "missing dim", "document")
     dim = doc["dim"]
     _expect(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1, "dim must be an integer >= 1", "dim")

@@ -16,6 +16,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, MisuseError
 from .linalg import (
+    _content_key,
+    _Memo,
     as_square_matrix,
     as_state_vector,
     dagger,
@@ -113,11 +115,22 @@ class InvarianceMargin:
     comparison_kind: str
 
 
+_MARGINS = _Memo(8)
+
+
 def invariance_margin(g: SymmetryTransform, a: np.ndarray) -> InvarianceMargin:
-    """``||g A g^-1 - A||_F / max(1, ||A||_F)``."""
+    """``||g A g^-1 - A||_F / max(1, ||A||_F)``.
+
+    Memoised by the exact content of g's unitary part, its antilinear
+    flag and A.
+    """
     arr = as_square_matrix(a)
-    value = frobenius_norm(conjugate_operator(g, arr) - arr) / max(1.0, frobenius_norm(arr))
-    return InvarianceMargin(value=value, comparison_kind=COMMUTANT)
+
+    def compute() -> InvarianceMargin:
+        value = frobenius_norm(conjugate_operator(g, arr) - arr) / max(1.0, frobenius_norm(arr))
+        return InvarianceMargin(value=value, comparison_kind=COMMUTANT)
+
+    return _MARGINS(_content_key(g.unitary_part, g.antilinear, arr), compute)
 
 
 def time_reversal_consistency(

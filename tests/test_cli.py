@@ -74,6 +74,22 @@ def test_check_integer_too_large_for_a_float_is_bad_input(tmp_path, capsysbinary
     assert err == b"error: matrices.smatrix[0][1]: complex entries must hold finite numbers\n"
 
 
+@pytest.mark.parametrize(
+    "version, code, err",
+    [
+        ("true", 2, b"error: schema_version: unsupported schema_version True\n"),
+        ("1.0", 2, b"error: schema_version: unsupported schema_version 1.0\n"),
+        ("1", 0, b""),
+    ],
+    ids=["true", "1.0", "1"],
+)
+def test_check_schema_version_must_be_the_integer_one(tmp_path, capsysbinary, version, code, err):
+    target = tmp_path / "version.json"
+    target.write_text(f'{{"dim":1,"requests":[],"schema_version":{version}}}')
+    got_code, _, got_err = run_cli(capsysbinary, "check", "--scenario", str(target))
+    assert (got_code, got_err) == (code, err)
+
+
 def test_check_out_single_file(tmp_path, capsysbinary):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsysbinary, "check", "--scenario", str(KAON_DECAY), "--out", str(target))

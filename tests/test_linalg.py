@@ -21,6 +21,7 @@ from tvd import (
     random_hermitian,
     random_unitary,
 )
+from tvd.linalg import _SPECTRA
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -92,7 +93,9 @@ def test_herm_eig_reconstruction_and_order():
 def test_herm_eig_is_deterministic():
     h = random_hermitian(5, seed=33)
     first = herm_eig(h)
+    _SPECTRA.clear()
     second = herm_eig(h.copy())
+    assert second is not first
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 

@@ -1,0 +1,139 @@
+"""The oracle must accept every sound verdict and flag every unsound one.
+
+These pin sound Violations whose deciding quantity sits at a band edge
+and that an earlier oracle rule reported as disagreements.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tvd import (
+    DEFAULT_TOLERANCES,
+    VIOLATION,
+    Report,
+    Request,
+    Scenario,
+    SymmetryTransform,
+    Verdict,
+    VerdictRecord,
+    conjugation,
+    invariance_margin,
+    mat_exp,
+    oracle_compare,
+    run_scenario,
+    serialize_scenario,
+)
+from tvd.cli import main
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def weak_curie_scenario(h: np.ndarray, time: float) -> Scenario:
+    """A swap-symmetric state evolved under H; swap symmetry is broken only by H."""
+    return Scenario(
+        dim=2,
+        matrices={"hamiltonian": h},
+        symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+        states={"plus": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)},
+        requests=(Request("unitary_curie", {"symmetry": "R", "state": "plus", "time": time}),),
+    )
+
+
+def cpt_edge_scenario(seed: int) -> Scenario:
+    """Real symmetric H with CPT = K and CP = exp(i eps A), eps bisected to the
+    smallest float for which the CP margin exceeds the default tau_violation."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3))
+    h = ((g + g.T) / 2.0).astype(complex)
+    a = ((b + b.T) / 2.0).astype(complex)
+
+    def cp(eps: float) -> SymmetryTransform:
+        return SymmetryTransform(mat_exp(a, 1j * eps), antilinear=False, label="CP")
+
+    def above(eps: float) -> bool:
+        return invariance_margin(cp(eps), h).value > DEFAULT_TOLERANCES.tau_violation
+
+    lo, hi = 0.0, 1.0
+    while not above(hi):
+        hi *= 2.0
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return Scenario(
+        dim=3,
+        matrices={"hamiltonian": h},
+        symmetries={"CPT": conjugation(3, label="CPT"), "CP": cp(hi)},
+        requests=(Request("cpt_link", {"cpt_symmetry": "CPT", "cp_symmetry": "CP"}),),
+    )
+
+
+def oracle_on(scenario: Scenario):
+    report = run_scenario(scenario, DEFAULT_TOLERANCES)
+    (record,) = oracle_compare(scenario, report, DEFAULT_TOLERANCES)
+    return report.records[0].verdict, record
+
+
+@pytest.mark.parametrize("time", [100.0, 1000.0])
+def test_weak_breaking_at_long_time_is_a_sound_violation(time):
+    verdict, record = oracle_on(weak_curie_scenario(np.diag([1.0, 1.0 + 2e-7]).astype(complex), time))
+    assert verdict.outcome == VIOLATION
+    # the commutant lies inside the hysteresis band, yet is clearly nonzero
+    assert DEFAULT_TOLERANCES.tau_zero < record.truths["commutant_margin"] <= DEFAULT_TOLERANCES.tau_violation
+    assert record.agreed, record.note
+
+
+def test_oracle_cli_accepts_weak_breaking_violation(tmp_path, capsysbinary):
+    target = tmp_path / "weak.json"
+    target.write_bytes(serialize_scenario(weak_curie_scenario(np.diag([1.0, 1.0 + 2e-7]).astype(complex), 100.0)))
+    code = main(["oracle", "--scenario", str(target)])
+    out = capsysbinary.readouterr().out
+    assert code == 0, out
+    assert b"DISAGREES" not in out
+
+
+# seeds whose derived reversal margin rounds to exactly tau_violation
+@pytest.mark.parametrize("seed", [0, 1, 10])
+def test_cpt_link_violation_at_the_band_edge_is_sound(seed):
+    verdict, record = oracle_on(cpt_edge_scenario(seed))
+    assert verdict.outcome == VIOLATION
+    assert record.truths["t_margin"] == DEFAULT_TOLERANCES.tau_violation
+    assert record.agreed, record.note
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_cpt_link_band_edge_violations_always_agree(seed):
+    verdict, record = oracle_on(cpt_edge_scenario(seed))
+    assert verdict.outcome == VIOLATION
+    assert record.agreed, record.truths
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        # H commutes with the swap exactly
+        weak_curie_scenario(np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex), 100.0),
+        # real H: CPT = K and CP = 1 both commute exactly
+        Scenario(
+            dim=2,
+            matrices={"hamiltonian": np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)},
+            symmetries={
+                "CPT": conjugation(2, label="CPT"),
+                "CP": SymmetryTransform(np.eye(2, dtype=complex), antilinear=False, label="CP"),
+            },
+            requests=(Request("cpt_link", {"cpt_symmetry": "CPT", "cp_symmetry": "CP"}),),
+        ),
+    ],
+    ids=["unitary_curie", "cpt_link"],
+)
+def test_forged_violation_against_a_commuting_symmetry_is_flagged(scenario):
+    forged = Report(
+        records=(VerdictRecord(scenario.requests[0].detector, Verdict.violation("T", margin=1.0, witness={"forged": True})),),
+        provenance=run_scenario(scenario, DEFAULT_TOLERANCES).provenance,
+    )
+    (record,) = oracle_compare(scenario, forged, DEFAULT_TOLERANCES)
+    assert not record.agreed
