@@ -19,14 +19,13 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .builders import MODEL_NAMES, build_model_scenario
 from .config import Tolerances
 from .errors import ConfigError, TvdError
 from .runner import oracle_compare, render_text, run_scenario
-from .scenario import Scenario, parse_scenario, serialize_report, serialize_scenario
+from .scenario import Report, Scenario, parse_scenario, serialize_report, serialize_scenario
 from .selftest import SUITES
 
 ENV_TOL_ZERO = "TVD_TOL_ZERO"
@@ -43,13 +42,10 @@ class RunConfig:
     format: str = "json"
     tolerance_overrides: dict[str, float] = dataclasses.field(default_factory=dict)
     seed: int | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.format not in ("json", "text"):
             raise ConfigError(f"format must be 'json' or 'text', got {self.format!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         for key, value in self.tolerance_overrides.items():
             if not (isinstance(value, float) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"tolerance override {key} must be a positive finite number, got {value!r}")
@@ -118,8 +114,14 @@ def _run_config(args: argparse.Namespace, paths: list[str]) -> RunConfig:
         format=getattr(args, "format", "json"),
         tolerance_overrides=_tolerance_overrides(args),
         seed=seed,
-        jobs=max(1, int(getattr(args, "jobs", 1))),
     )
+
+
+def _at_least_one(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_shared_args(sub: argparse.ArgumentParser, with_seed: bool = True) -> None:
@@ -145,9 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", default=None, metavar="PATH",
                        help="output file, or directory when several scenarios are given")
     check.add_argument("--format", choices=("json", "text"), default="json")
-    check.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads across scenarios; output is identical for any value "
-                            "(threads share the interpreter lock: no reliable speed-up on 2 cores)")
+    check.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
+                       help="accepted for compatibility and ignored: scenarios run one after "
+                            "another, because BLAS already uses every core and its thread "
+                            "count fixes report bits")
     _add_shared_args(check)
 
     models = sub.add_parser("models", help="emit a built-in model scenario")
@@ -178,27 +181,27 @@ def _write_payload(payload: bytes, out: Path | None) -> None:
         out.write_bytes(payload)
 
 
+def _run_file(path: Path, config: RunConfig) -> tuple[Scenario, Tolerances, Report]:
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario {path}: {exc}") from None
+    scenario = parse_scenario(data)
+    tol = _effective_tolerances(scenario, config.tolerance_overrides)
+    report = run_scenario(scenario, tolerances=tol, seed=_effective_seed(scenario, config.seed))
+    return scenario, tol, report
+
+
+def _render(report: Report, fmt: str) -> bytes:
+    return serialize_report(report) if fmt == "json" else render_text(report).encode("utf-8")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _run_config(args, args.scenario)
-
-    def run_one(path: Path) -> bytes:
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-        scenario = parse_scenario(data)
-        tol = _effective_tolerances(scenario, config.tolerance_overrides)
-        report = run_scenario(scenario, tolerances=tol, seed=_effective_seed(scenario, config.seed))
-        if config.format == "json":
-            return serialize_report(report)
-        return render_text(report).encode("utf-8")
-
-    paths = list(config.scenarios)
-    if config.jobs == 1 or len(paths) == 1:
-        payloads = [run_one(p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            payloads = list(pool.map(run_one, paths))
+    paths = config.scenarios
+    # One scenario after another on this thread: BLAS already spreads each
+    # product over every core, so scenario threads only contend with it.
+    payloads = [_render(_run_file(path, config)[2], config.format) for path in paths]
 
     suffix = ".report.json" if config.format == "json" else ".report.txt"
     if config.out is None:
@@ -234,21 +237,9 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _run_config(args, [args.scenario])
-    path = config.scenarios[0]
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    scenario = parse_scenario(data)
-    tol = _effective_tolerances(scenario, config.tolerance_overrides)
-    report = run_scenario(scenario, tolerances=tol, seed=_effective_seed(scenario, config.seed))
+    scenario, tol, report = _run_file(config.scenarios[0], config)
     records = oracle_compare(scenario, report, tol)
-    full = dataclasses.replace(report, oracle=records)
-    if config.format == "json":
-        payload = serialize_report(full)
-    else:
-        payload = render_text(full).encode("utf-8")
-    _write_payload(payload, config.out)
+    _write_payload(_render(dataclasses.replace(report, oracle=records), config.format), config.out)
     return 3 if any(not rec.agreed for rec in records) else 0
 
 

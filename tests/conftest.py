@@ -7,8 +7,12 @@ settings.register_profile("numeric", deadline=None, max_examples=60)
 settings.load_profile("numeric")
 
 
+def clear_memos() -> None:
+    for memo in _MEMOS:
+        memo.clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Start every test with empty memo tables, so no result depends on test order."""
-    for memo in _MEMOS:
-        memo.clear()
+    clear_memos()

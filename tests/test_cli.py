@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from tvd import (
     run_scenario,
     shipped_scenario_paths,
 )
+import tvd.cli
 from tvd.cli import main
 
 KAON_DECAY = shipped_scenario_paths()["kaon_decay"]
@@ -123,6 +125,31 @@ def test_check_jobs_do_not_change_bytes(tmp_path, capsysbinary):
     code, threaded, _ = run_cli(capsysbinary, *argv, "--jobs", "4")
     assert code == 0
     assert serial == threaded
+
+
+def test_check_jobs_runs_every_scenario_on_the_calling_thread(capsysbinary, monkeypatch):
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(tvd.cli, "run_scenario", recording)
+    paths = [str(p) for p in sorted(shipped_scenario_paths().values())]
+    argv = ["check"] + [x for p in paths for x in ("--scenario", p)]
+    code, _, _ = run_cli(capsysbinary, *argv, "--jobs", "4")
+    assert code == 0
+    assert threads == [threading.get_ident()] * len(paths)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_check_jobs_below_one_is_bad_input(capsysbinary, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--scenario", str(KAON_DECAY), "--jobs", jobs])
+    captured = capsysbinary.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == b""
+    assert f"argument --jobs: must be at least 1, got {jobs}".encode() in captured.err
 
 
 def test_env_tolerance_softens_verdict_and_flag_wins(capsysbinary, monkeypatch):

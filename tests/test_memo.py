@@ -32,15 +32,13 @@ from tvd import (
 )
 from tvd import runner, symmetry
 from tvd.linalg import _MEMOS, _SPECTRA
+from tvd.symmetry import compose, inverse
+
+from conftest import clear_memos
 
 DETECTOR_MEMOS = (_SPECTRA, symmetry._MARGINS)
-ORACLE_MEMOS = (runner._ORACLE_SPECTRA, runner._ORACLE_MARGINS)
+ORACLE_MEMOS = (runner._ORACLE_SPECTRA, runner._ORACLE_MARGINS, runner._ORACLE_REVERSALS)
 SWAP = SymmetryTransform(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), antilinear=False, label="R")
-
-
-def clear_all() -> None:
-    for memo in _MEMOS:
-        memo.clear()
 
 
 # one call per memo table: (inputs built from a seed, the memoised call)
@@ -68,7 +66,7 @@ def test_repeat_call_returns_the_memoised_object_with_cold_bytes(name):
     first = call(*make(7))
     again = call(*(x.copy() if isinstance(x, np.ndarray) else x for x in make(7)))
     assert again is first
-    clear_all()
+    clear_memos()
     cold = call(*make(7))
     assert cold is not first
     assert as_bytes(cold) == as_bytes(first)
@@ -81,7 +79,7 @@ def test_in_place_mutation_misses_the_memo(name):
     first = call(*args)
     args[-1][0, 0] += 0.25
     changed = call(*args)
-    clear_all()
+    clear_memos()
     assert as_bytes(changed) == as_bytes(call(*args))
     assert as_bytes(changed) != as_bytes(first)
 
@@ -109,20 +107,27 @@ def test_every_scalar_input_is_part_of_the_key():
     assert runner._commutant_margin(one, h) == 0.0 < runner._commutant_margin(k, h)
 
 
+def cp_transform(seed: int) -> SymmetryTransform:
+    return SymmetryTransform(random_unitary(2, seed), antilinear=False, label="CP")
+
+
 def test_tables_stay_within_bounds_and_evict_the_oldest_first():
     results = {name: [call(*make(seed)) for seed in range(20)] for name, (make, call) in CALLS.items()}
+    reversals = [runner._derived_reversal(cp_transform(seed), conjugation(2)) for seed in range(20)]
     for memo in _MEMOS:
         assert len(memo.table) == memo.size
     for name, (make, call) in CALLS.items():
         assert call(*make(19)) is results[name][19], name
         assert call(*make(0)) is not results[name][0], name
+    assert runner._derived_reversal(cp_transform(19), conjugation(2)) is reversals[19]
+    assert runner._derived_reversal(cp_transform(0), conjugation(2)) is not reversals[0]
     for memo in _MEMOS:
         assert len(memo.table) == memo.size
 
 
 def test_threads_sharing_the_tables_get_cold_results():
     cold = {name: [as_bytes(call(*make(seed))) for seed in range(12)] for name, (make, call) in CALLS.items()}
-    clear_all()
+    clear_memos()
     errors = []
 
     def worker(offset: int) -> None:
@@ -207,7 +212,7 @@ def checked_and_oracled(scenario: Scenario) -> bytes:
 @given(st.integers(0, 10_000))
 def test_report_bytes_are_the_same_with_cold_and_warm_tables(seed):
     scenario = repeating_scenario(seed)
-    clear_all()
+    clear_memos()
     cold = checked_and_oracled(scenario)
     assert checked_and_oracled(scenario) == cold
     # and again after another scenario has passed through the tables
@@ -216,7 +221,7 @@ def test_report_bytes_are_the_same_with_cold_and_warm_tables(seed):
 
 
 def test_oracle_never_reads_the_detector_tables():
-    assert len({id(m) for m in DETECTOR_MEMOS + ORACLE_MEMOS}) == 4
+    assert len({id(m) for m in DETECTOR_MEMOS + ORACLE_MEMOS}) == 5
     assert set(map(id, DETECTOR_MEMOS + ORACLE_MEMOS)) == set(map(id, _MEMOS))
     scenario = repeating_scenario(3)
     report = run_scenario(scenario, scenario.effective_tolerances())
@@ -226,3 +231,21 @@ def test_oracle_never_reads_the_detector_tables():
     oracle_compare(scenario, report, scenario.effective_tolerances())
     assert all(m.table for m in ORACLE_MEMOS)
     assert [list(m.table) for m in DETECTOR_MEMOS] == detector_keys
+
+
+def test_derived_reversal_table_is_the_oracles_own_and_cold_memos_clears_it():
+    reversals = runner._ORACLE_REVERSALS
+    assert reversals in _MEMOS
+    assert all(reversals is not m for m in DETECTOR_MEMOS)
+    scenario = repeating_scenario(3)
+    tol = scenario.effective_tolerances()
+    report = run_scenario(scenario, tol)
+    assert not reversals.table
+    oracle_compare(scenario, report, tol)
+    # three cpt_link requests on one (CP, CPT) pair build one reversal
+    (reversal,) = reversals.table.values()
+    cp, cpt = scenario.symmetries["R"], scenario.symmetries["T"]
+    assert as_bytes(reversal) == as_bytes(compose(inverse(cp), cpt, label="T"))
+    assert all(reversal is not v for m in DETECTOR_MEMOS for v in m.table.values())
+    clear_memos()
+    assert not reversals.table

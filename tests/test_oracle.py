@@ -22,9 +22,11 @@ from tvd import (
     invariance_margin,
     mat_exp,
     oracle_compare,
+    random_unitary,
     run_scenario,
     serialize_scenario,
 )
+from tvd import runner
 from tvd.cli import main
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -87,6 +89,45 @@ def test_weak_breaking_at_long_time_is_a_sound_violation(time):
     assert record.agreed, record.note
 
 
+# the commutant is below tau_zero; only the time it acts for makes the move clear
+@pytest.mark.parametrize("eps, time", [(1e-10, 1e5), (1e-10, 1e4), (5e-10, 1e4)])
+def test_weaker_breaking_at_longer_time_is_a_sound_violation(eps, time):
+    verdict, record = oracle_on(weak_curie_scenario(np.diag([1.0, 1.0 + eps]).astype(complex), time))
+    assert verdict.outcome == VIOLATION
+    assert record.truths["commutant_margin"] <= DEFAULT_TOLERANCES.tau_zero
+    assert record.agreed, record.note
+
+
+@given(
+    st.floats(-12.0, -8.0),
+    st.floats(float(np.log10(2e-6)), -2.0),
+    st.floats(0.5, 2.0),
+)
+def test_weak_breaking_violations_always_agree(log_eps, log_eps_time, level):
+    eps = 10.0**log_eps
+    h = np.diag([level, level + eps]).astype(complex)
+    verdict, record = oracle_on(weak_curie_scenario(h, 10.0**log_eps_time / eps))
+    assert verdict.outcome == VIOLATION
+    assert record.agreed, record.truths
+
+
+@pytest.mark.parametrize(
+    "margin, dev_f, time, accepted",
+    [
+        (1e-10, 1e-5, 1e5, True),
+        # the move exceeds what the commutator can do in that time
+        (1e-10, 1e-5, 1e4, False),
+        # the move itself is consistent with zero
+        (1e-10, 5e-10, 1e5, False),
+        # a rounding-level commutator, however long it acts
+        (1e-15, 1e-5, 1e12, False),
+    ],
+)
+def test_weak_breaking_rule_needs_a_move_a_commutator_and_the_duhamel_bound(margin, dev_f, time, accepted):
+    h = np.diag([1.0, 1.0 + margin]).astype(complex)
+    assert runner._weak_breaking_moves(margin, h, 0.0, dev_f, time, DEFAULT_TOLERANCES) is accepted
+
+
 def test_oracle_cli_accepts_weak_breaking_violation(tmp_path, capsysbinary):
     target = tmp_path / "weak.json"
     target.write_bytes(serialize_scenario(weak_curie_scenario(np.diag([1.0, 1.0 + 2e-7]).astype(complex), 100.0)))
@@ -131,9 +172,40 @@ def test_cpt_link_band_edge_violations_always_agree(seed):
     ids=["unitary_curie", "cpt_link"],
 )
 def test_forged_violation_against_a_commuting_symmetry_is_flagged(scenario):
+    assert not forged_violation(scenario).agreed
+
+
+def forged_violation(scenario: Scenario):
     forged = Report(
         records=(VerdictRecord(scenario.requests[0].detector, Verdict.violation("T", margin=1.0, witness={"forged": True})),),
         provenance=run_scenario(scenario, DEFAULT_TOLERANCES).provenance,
     )
     (record,) = oracle_compare(scenario, forged, DEFAULT_TOLERANCES)
+    return record
+
+
+@pytest.mark.parametrize("time", [1.0, 1e3, 1e6])
+def test_forged_violation_against_an_exact_commutant_is_flagged_at_any_time(time):
+    record = forged_violation(weak_curie_scenario(np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex), time))
+    assert not record.agreed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forged_violation_against_a_rounding_level_commutant_is_flagged(seed):
+    """R and H commute exactly before rounding, and share a level across R's
+    two sectors, so rounding alone moves the even state at long times."""
+    u = random_unitary(4, seed)
+    r = (u * np.array([1.0, 1.0, -1.0, -1.0])) @ u.conj().T
+    a, b = np.random.default_rng(seed).standard_normal(2)
+    h = (u * np.array([a, b, a, b])) @ u.conj().T
+    scenario = Scenario(
+        dim=4,
+        matrices={"hamiltonian": (h + h.conj().T) / 2.0},
+        symmetries={"R": SymmetryTransform(r, antilinear=False, label="R")},
+        states={"even": u[:, 0].copy()},
+        requests=(Request("unitary_curie", {"symmetry": "R", "state": "even", "time": 1e8}),),
+    )
+    record = forged_violation(scenario)
+    # the oracle's own propagation shows a move that the long time would cover
+    assert abs(record.truths["final_deviation"] - record.truths["initial_deviation"]) > DEFAULT_TOLERANCES.tau_zero
     assert not record.agreed
