@@ -199,11 +199,17 @@ def _render(report: Report, fmt: str) -> bytes:
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _run_config(args, args.scenario)
     paths = config.scenarios
+    suffix = ".report.json" if config.format == "json" else ".report.txt"
+    if config.out is not None:
+        by_stem: dict[str, Path] = {}
+        for path in paths:
+            other = by_stem.setdefault(path.stem, path)
+            if other is not path:
+                raise ConfigError(f"scenarios {other} and {path} would both write {path.stem}{suffix} under --out")
     # One scenario after another on this thread: BLAS already spreads each
     # product over every core, so scenario threads only contend with it.
     payloads = [_render(_run_file(path, config)[2], config.format) for path in paths]
 
-    suffix = ".report.json" if config.format == "json" else ".report.txt"
     if config.out is None:
         for path, payload in zip(paths, payloads):
             if config.format == "text" and len(paths) > 1:

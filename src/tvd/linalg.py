@@ -207,9 +207,36 @@ class _Memo:
         self.table.clear()
 
 
+def _frozen_bytes(a: np.ndarray) -> bytes | None:
+    """The immutable ``bytes`` object that ``a`` views whole in C order, or None."""
+    base = a.base
+    if type(base) is bytes and a.flags.c_contiguous and a.nbytes == len(base):
+        return base
+    return None
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only view over an immutable ``bytes`` copy of its content.
+
+    No view of such an array can be made writable, so memo keys reuse its
+    buffer instead of copying it. An array that already is one comes back
+    as it is.
+    """
+    if _frozen_bytes(a) is not None:
+        return a
+    return np.ndarray(a.shape, a.dtype, buffer=a.tobytes())
+
+
 def _content_key(*parts: object) -> tuple:
-    """A memo key holding each array's shape, dtype and C-order bytes; other parts as given."""
-    return tuple((p.shape, p.dtype.str, p.tobytes()) if isinstance(p, np.ndarray) else p for p in parts)
+    """A memo key holding each array's shape, dtype and C-order bytes; other parts as given.
+
+    The bytes of a ``frozen`` array are its own buffer: hashed once, then
+    matched by identity. Any other array is copied, so that a later in-place
+    change to it misses.
+    """
+    return tuple(
+        (p.shape, p.dtype.str, _frozen_bytes(p) or p.tobytes()) if isinstance(p, np.ndarray) else p for p in parts
+    )
 
 
 _SPECTRA = _Memo(4)

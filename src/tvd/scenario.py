@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__ as _tool_version
 from .config import Tolerances
 from .errors import ScenarioError
+from .linalg import frozen
 from .symmetry import SymmetryTransform
 from .verdict import Verdict
 
@@ -208,11 +209,89 @@ def _whole_complex_array(raw: object, shape: tuple[int, ...]) -> np.ndarray | No
     if pairs.shape != shape + (2,) or not np.isfinite(pairs).all():
         return None
     # a view keeps the sign of a -0.0 real part; re + 1j * im would not
-    return pairs.view(np.complex128).reshape(shape)
+    return frozen(pairs.view(np.complex128).reshape(shape))
 
 
-def _parse_matrix(raw: object, dim: int, path: str) -> np.ndarray:
-    fast = _whole_complex_array(raw, (dim, dim))
+# Every byte a JSON number token can hold.
+_NUMBER_BYTES = b"+-.0123456789Ee"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _read_compact(payload: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Read a compact JSON array of ``[re, im]`` pairs at ``shape`` as one flat list.
+
+    Returns None unless the array's brackets and commas are exactly those
+    of the shape (their count is checked before anything sized by the
+    shape is built) and no pair has an empty slot. With every bracket
+    turned into a space, the JSON decoder then reads one number token per
+    slot, as inside the nested array, and rejects any other token, which a
+    space now parts from its slot's token.
+    """
+    shape += (2,)
+    skeleton = payload.translate(None, _NUMBER_BYTES)
+    length = 0
+    for n in reversed(shape):
+        length = n * length + n + 1  # n parts, n - 1 commas, two brackets
+    if len(skeleton) != length:
+        return None
+    expected = b""
+    for n in reversed(shape):
+        expected = b"[" + b",".join([expected] * n) + b"]"
+    if skeleton != expected or b"[," in payload or b",]" in payload:
+        return None
+    try:
+        pairs = np.array(json.loads(b"[" + payload.translate(_BRACKETS_TO_SPACES) + b"]"), dtype=np.float64)
+    except (json.JSONDecodeError, OverflowError):
+        return None
+    if not np.isfinite(pairs).all():
+        return None
+    return frozen(pairs.view(np.complex128).reshape(shape[:-1]))
+
+
+def _splice(data: bytes) -> tuple[bytes, dict[str, bytes]] | None:
+    """Cut each ``[[``-opening array outside a string out of a document.
+
+    Each array becomes the string ``"\\u0000<k>"``. Without a backslash in
+    the document, quote parity tells which brackets sit inside a string,
+    and no string of the document can spell a placeholder. Returns the
+    remaining text and the arrays by placeholder value, or None for a
+    document with a backslash or an unclosed array or string.
+    """
+    if b"\\" in data:
+        return None
+    parts: list[bytes] = []
+    payloads: dict[str, bytes] = {}
+    last = pos = 0
+    while (start := data.find(b"[[", pos)) >= 0:
+        if data.count(b'"', pos, start) % 2:  # inside a string: go on after it
+            pos = data.find(b'"', start) + 1
+            if not pos:
+                return None
+            continue
+        closer = b"]]]" if data[start + 2 : start + 3] == b"[" else b"]]"
+        end = data.find(closer, start)
+        if end < 0:
+            return None
+        pos = end + len(closer)
+        parts += (data[last:start], b'"\\u0000%d"' % len(payloads))
+        payloads["\x00%d" % len(payloads)] = data[start:pos]
+        last = pos
+    parts.append(data[last:])
+    return b"".join(parts), payloads
+
+
+def _read_spliced(payloads: dict[str, bytes], raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The array that a placeholder stands for, claimed once; any other value is read as nested lists."""
+    if type(raw) is str and raw in payloads:
+        return _read_compact(payloads.pop(raw), shape)
+    return _whole_complex_array(raw, shape)
+
+
+_Reader = Callable[[object, tuple[int, ...]], "np.ndarray | None"]
+
+
+def _parse_matrix(raw: object, dim: int, path: str, read: _Reader) -> np.ndarray:
+    fast = read(raw, (dim, dim))
     if fast is not None:
         return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} rows", path)
@@ -220,15 +299,15 @@ def _parse_matrix(raw: object, dim: int, path: str) -> np.ndarray:
     for i, row in enumerate(raw):  # type: ignore[union-attr]
         _expect(isinstance(row, list) and len(row) == dim, f"expected {dim} columns", f"{path}[{i}]")
         rows.append([_parse_complex_entry(entry, f"{path}[{i}][{k}]") for k, entry in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    return frozen(np.array(rows, dtype=complex))
 
 
-def _parse_vector(raw: object, dim: int, path: str) -> np.ndarray:
-    fast = _whole_complex_array(raw, (dim,))
+def _parse_vector(raw: object, dim: int, path: str, read: _Reader) -> np.ndarray:
+    fast = read(raw, (dim,))
     if fast is not None:
         return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} entries", path)
-    return np.array([_parse_complex_entry(entry, f"{path}[{k}]") for k, entry in enumerate(raw)], dtype=complex)
+    return frozen(np.array([_parse_complex_entry(entry, f"{path}[{k}]") for k, entry in enumerate(raw)], dtype=complex))
 
 
 def _parse_number(raw: object, path: str, *, positive: bool = False) -> float:
@@ -243,13 +322,44 @@ _TOLERANCE_FIELDS = ("tau_zero", "tau_violation", "gap_tol")
 
 
 def parse_scenario(data: bytes | str) -> Scenario:
-    """Parse and validate a scenario document."""
+    """Parse and validate a scenario document.
+
+    Matrices and states come back as read-only arrays. Compact arrays are
+    read straight from the text (``_splice``, ``_read_compact``); anything
+    unexpected on that route parses the original text again with
+    ``_parse_nested``, so both routes give the same arrays, bit for bit,
+    and every error comes from ``_parse_nested``.
+    """
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    spliced = _splice(raw)
+    if spliced is not None:
+        text, payloads = spliced
+        try:
+            scenario = _parse_document(json.loads(text.decode("utf-8")), partial(_read_spliced, payloads))
+        except (UnicodeDecodeError, json.JSONDecodeError, ScenarioError):
+            pass
+        else:
+            # a placeholder anywhere but at a matrix or a state is never claimed
+            if not payloads:
+                return scenario
+    return _parse_nested(data)
+
+
+def _parse_nested(data: bytes | str) -> Scenario:
+    """Parse the whole text into nested lists, then validate it."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"invalid UTF-8: {exc}", "document") from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from None
+    return _parse_document(doc, _whole_complex_array)
+
+
+def _parse_document(doc: object, read: _Reader) -> Scenario:
     _expect(isinstance(doc, dict), "document must be a JSON object", "document")
     _reject_unknown(doc, _TOP_FIELDS, "")
 
@@ -292,7 +402,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
         _reject_unknown(raw, MATRIX_NAMES, "matrices")
         for name in MATRIX_NAMES:
             if name in raw:
-                matrices[name] = _parse_matrix(raw[name], dim, f"matrices.{name}")
+                matrices[name] = _parse_matrix(raw[name], dim, f"matrices.{name}", read)
 
     symmetries: dict[str, SymmetryTransform] = {}
     if "symmetries" in doc:
@@ -308,7 +418,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
             _expect(isinstance(label, str) and label != "", "label must be a non-empty string", f"{path}.label")
             _expect(label not in symmetries, f"duplicate symmetry label {label!r}", f"{path}.label")
             _expect(isinstance(item["antilinear"], bool), "antilinear must be a boolean", f"{path}.antilinear")
-            unitary = _parse_matrix(item["unitary_part"], dim, f"{path}.unitary_part")
+            unitary = _parse_matrix(item["unitary_part"], dim, f"{path}.unitary_part", read)
             try:
                 transform = SymmetryTransform(unitary, antilinear=item["antilinear"], label=label)
             except Exception as exc:
@@ -321,7 +431,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
         _expect(isinstance(raw, dict), "states must be an object", "states")
         for name in raw:
             _expect(isinstance(name, str) and name != "", "state names must be non-empty strings", "states")
-            vec = _parse_vector(raw[name], dim, f"states.{name}")
+            vec = _parse_vector(raw[name], dim, f"states.{name}", read)
             norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
             _expect(norm_dev <= tol.tau_zero, f"state is not normalized (deviation {norm_dev:.3e})", f"states.{name}")
             states[name] = vec

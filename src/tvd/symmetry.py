@@ -22,6 +22,7 @@ from .linalg import (
     as_state_vector,
     dagger,
     frobenius_norm,
+    frozen,
     mat_exp,
     require_hermitian,
     require_unitary,
@@ -46,9 +47,7 @@ class SymmetryTransform:
 
     def __post_init__(self) -> None:
         arr = require_unitary(self.unitary_part, name=f"unitary_part of {self.label or 'transform'}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "unitary_part", arr)
+        object.__setattr__(self, "unitary_part", frozen(arr))
         object.__setattr__(self, "antilinear", bool(self.antilinear))
 
     @property

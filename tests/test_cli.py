@@ -117,6 +117,37 @@ def test_check_out_directory_for_multiple_scenarios(tmp_path, capsysbinary):
     ]
 
 
+@pytest.mark.parametrize("fmt, suffix", [("json", "report.json"), ("text", "report.txt")])
+def test_check_out_directory_refuses_two_scenarios_with_one_stem(tmp_path, capsysbinary, monkeypatch, fmt, suffix):
+    first, second = tmp_path / "a" / "x.json", tmp_path / "b" / "x.json"
+    for path in (first, second):
+        path.parent.mkdir()
+        path.write_bytes(KAON_DECAY.read_bytes())
+    ran = []
+    monkeypatch.setattr(tvd.cli, "run_scenario", lambda *a, **k: ran.append(a))
+    outdir = tmp_path / "reports"
+    code, out, err = run_cli(
+        capsysbinary, "check", "--scenario", str(first), "--scenario", str(second),
+        "--out", str(outdir), "--format", fmt,
+    )
+    assert code == 2
+    assert out == b""
+    assert err == f"error: scenarios {first} and {second} would both write x.{suffix} under --out\n".encode()
+    assert ran == []
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_invalid_utf8_scenario_is_bad_input(tmp_path, capsysbinary, command):
+    target = tmp_path / "latin1.json"
+    target.write_bytes(b'{"dim":1,"requests":[],"schema_version":1,"x":"\xff"}')
+    code, out, err = run_cli(capsysbinary, command, "--scenario", str(target))
+    assert code == 2
+    assert out == b""
+    assert err.startswith(b"error: document: invalid UTF-8: ")
+    assert b"Traceback" not in err
+
+
 def test_check_jobs_do_not_change_bytes(tmp_path, capsysbinary):
     paths = [str(p) for p in sorted(shipped_scenario_paths().values())]
     argv = ["check"] + [x for p in paths for x in ("--scenario", p)]

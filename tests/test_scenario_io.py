@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from tvd import (
     serialize_scenario,
     shipped_scenario_paths,
 )
+import tvd.scenario
+from tvd.linalg import _content_key, frozen, herm_eig
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -357,3 +361,251 @@ def test_large_json_integers_parse_like_complex(re_part, im_part):
     parsed = parse_scenario(json.dumps(doc).encode())
     assert parsed.matrices["hamiltonian"][1, 0:1].tobytes() == np.array([complex(re_part, im_part)]).tobytes()
     assert parsed.matrices["hamiltonian"][0, 0:1].tobytes() == np.array([complex(2**63 + 1, 0)]).tobytes()
+
+
+# The compact route (tvd.scenario._splice and _read_compact) against the
+# nested parse of the same text, which is its reference and the only route
+# that reports errors.
+
+
+def outcome(parse, data: bytes) -> tuple:
+    """Everything a parse returns, arrays as bytes; or the error text and path."""
+    try:
+        s = parse(data)
+    except ScenarioError as exc:
+        return ("error", str(exc), exc.path)
+    return (
+        s.dim,
+        {name: m.tobytes() for name, m in s.matrices.items()},
+        {label: (g.unitary_part.tobytes(), g.antilinear) for label, g in s.symmetries.items()},
+        {name: v.tobytes() for name, v in s.states.items()},
+        s.requests,
+        s.tolerance_overrides,
+        s.seed,
+    )
+
+
+def assert_parses_like_nested(data: bytes) -> tuple:
+    got = outcome(parse_scenario, data)
+    assert got == outcome(tvd.scenario._parse_nested, data)
+    return got
+
+
+def parse_compact_only(data: bytes):
+    """parse_scenario with the nested parse unreachable: only the compact route can answer."""
+    with mock.patch.object(tvd.scenario, "_parse_nested", side_effect=AssertionError("fell back")):
+        return parse_scenario(data)
+
+
+@given(io_scenarios())
+def test_canonical_documents_take_the_compact_route_bit_for_bit(scenario):
+    data = serialize_scenario(scenario)
+    assert outcome(parse_compact_only, data) == outcome(tvd.scenario._parse_nested, data)
+
+
+@st.composite
+def hand_formatted(draw, value, numbers=None):
+    """``value`` as JSON text with random whitespace and number spellings, and repeated keys."""
+    gap = st.sampled_from(["", " ", "\n  "])
+    if isinstance(value, dict):
+        items = []
+        for key, item in value.items():
+            if draw(st.booleans()):
+                items.append((key, "[[[0,0]]]"))  # an earlier duplicate: the last one wins
+            items.append((key, draw(hand_formatted(item, numbers))))
+        sep = "," + draw(gap)
+        return "{" + draw(gap) + sep.join(f"{json.dumps(k)}{draw(gap)}:{draw(gap)}{v}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + draw(gap) + ("," + draw(gap)).join(draw(hand_formatted(v, numbers)) for v in value) + "]"
+    if isinstance(value, float):
+        if numbers is not None:
+            value = draw(numbers)
+        if isinstance(value, int):
+            return str(value)
+        exponent = "%.17e" % value
+        spellings = [repr(value), "%.17g" % value, "%.17E" % value, exponent, exponent.replace("e+", "e")]
+        if value.is_integer() and value != 0.0:
+            spellings.append(str(int(value)))
+        return draw(st.sampled_from(spellings))
+    return json.dumps(value)
+
+
+@given(st.data(), io_scenarios())
+def test_hand_formatted_documents_parse_like_nested_lists(data, scenario):
+    doc = scenario_jsonable(scenario)
+    # the Hamiltonian may hold integers above 2**53 and any spelling of a float
+    hamiltonian = doc["matrices"].pop("hamiltonian")
+    text = data.draw(hand_formatted(doc))
+    matrix = data.draw(hand_formatted(hamiltonian, st.one_of(reals, big_ints)))
+    text = text[:-1] + ',"matrices":{"hamiltonian":' + matrix + "}}"
+    assert_parses_like_nested(text.encode())
+
+
+HAMILTONIAN = b"[[[1,0],[0,0.5]],[[0,-0.5],[2,0]]]"
+STATE = b"[[1,0],[0,0]]"
+UNITARY = b"[[[1,0],[0,0]],[[0,0],[1,0]]]"
+PAYLOADS = {b"hamiltonian": HAMILTONIAN, b"ground": STATE, b"unitary_part": UNITARY}
+
+
+def with_payload(key: bytes, text: bytes) -> bytes:
+    """FROZEN_SCENARIO_BYTES with the array under ``key`` replaced by ``text``."""
+    old = b'"%s":%s' % (key, PAYLOADS[key])
+    assert FROZEN_SCENARIO_BYTES.count(old) == 1
+    return FROZEN_SCENARIO_BYTES.replace(old, b'"%s":%s' % (key, text))
+
+
+# one token of each array replaced by X
+TOKEN_SITES = {
+    b"hamiltonian": b"[[[1,0],[0,0.5]],[[X,-0.5],[2,0]]]",
+    b"ground": b"[[1,0],[X,0]]",
+    b"unitary_part": b"[[[1,0],[0,0]],[[0,0],[1,X]]]",
+}
+TOKENS = [
+    # rejected by JSON, though numpy's text reader takes most of them
+    "+1", "01", "-01", "1.", ".5", "1.e5", "1e", "-", "inf", "nan", "Infinity", "-Infinity", "NaN", "0x1p3",
+    # valid JSON: -0 reads as integer zero, so +0.0; the rest read as floats or big integers
+    "-0", "0", "1E-5", "1e+05", "1e5", "-0.0", "5e-324", "-1e-300", "9007199254740993", "1" + "0" * 30,
+    # too large for a float
+    "1e400", "1" + "0" * 400,
+]
+
+
+@pytest.mark.parametrize("site", sorted(TOKEN_SITES))
+@pytest.mark.parametrize("token", TOKENS)
+def test_each_number_token_reads_as_in_nested_lists(site, token):
+    assert_parses_like_nested(with_payload(site, TOKEN_SITES[site].replace(b"X", token.encode())))
+
+
+def test_minus_zero_reads_as_plus_zero():
+    parsed = parse_compact_only(with_payload(b"hamiltonian", b"[[[1,-0],[0,0.5]],[[0,-0.5],[2,0]]]"))
+    assert not np.signbit(parsed.matrices["hamiltonian"][0, 0].imag)
+
+
+# whole arrays: misplaced tokens, whitespace, wrong depth or count
+PAYLOAD_CASES = {
+    "state_trailing_comma": (b"ground", b"[[1,],[0,0]]"),
+    "state_token_after_bracket": (b"ground", b"[[1,]0,[0,0]]"),
+    "state_token_before_bracket": (b"ground", b"[[,1],0[0,0]]"),
+    "state_sign_before_bracket": (b"ground", b"[[1,0],-[0,0]]"),
+    "state_leading_comma": (b"ground", b"[[,1],[0,0]]"),
+    "state_extra_comma": (b"ground", b"[[1,0],[0,0],]"),
+    "state_whitespace": (b"ground", b"[[1, 0],\n [0,0] ]"),
+    "state_wrong_depth": (b"ground", b"[[[1,0],[0,0]]]"),
+    "state_wrong_count": (b"ground", b"[[1,0]]"),
+    "state_ragged": (b"ground", b"[[1,0,0],[0]]"),
+    "state_unclosed": (b"ground", b"[[1,0],[0,0]"),
+    "matrix_ragged": (b"hamiltonian", b"[[[1,0],[0,0.5,0]],[[-0.5],[2,0]]]"),
+    "matrix_token_after_bracket": (b"hamiltonian", b"[[[1,1]5,[0,0.5]],[[0,-0.5],[2,0]]]"),
+    "matrix_token_between_rows": (b"hamiltonian", b"[[[1,0],[0,0.5]]1,[[0,-0.5],[2,0]]]"),
+    "matrix_whitespace": (b"hamiltonian", b"[[[1,0], [0,0.5]], [[0,-0.5],[2,0]]]"),
+    "matrix_wrong_depth": (b"hamiltonian", b"[[1,0],[0,0.5]]"),
+    "matrix_too_deep": (b"hamiltonian", b"[[[[1,0],[0,0.5]],[[0,-0.5],[2,0]]]]"),
+    "matrix_not_finite": (b"hamiltonian", b"[[[1,0],[0,0.5]],[[0,-0.5],[2,1e999]]]"),
+    "unitary_as_state": (b"unitary_part", STATE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
+def test_malformed_payload_gives_the_nested_result(case):
+    assert_parses_like_nested(with_payload(*PAYLOAD_CASES[case]))
+
+
+def test_label_holding_brackets_keeps_the_compact_route():
+    data = FROZEN_SCENARIO_BYTES.replace(b'"T"', b'"[[1,0]]"')
+    assert outcome(parse_compact_only, data) == assert_parses_like_nested(data)
+    assert list(parse_scenario(data).symmetries) == ["[[1,0]]"]
+
+
+def test_label_with_a_backslash_escape_parses_like_nested():
+    data = FROZEN_SCENARIO_BYTES.replace(b'"label":"T"', b'"label":"\\u0054"')
+    assert assert_parses_like_nested(data)[0] == 2
+
+
+def test_a_string_spelling_a_placeholder_is_not_a_payload():
+    # the Hamiltonian is the document's first array; its duplicate key wins
+    data = with_payload(b"hamiltonian", HAMILTONIAN + b',"hamiltonian":"\\u00000"')
+    assert assert_parses_like_nested(data) == ("error", "matrices.hamiltonian: expected 2 rows", "matrices.hamiltonian")
+
+
+def test_a_payload_dropped_by_a_duplicate_key_is_still_checked():
+    bad = HAMILTONIAN.replace(b"0.5", b"05", 1)
+    data = with_payload(b"hamiltonian", bad + b',"hamiltonian":' + HAMILTONIAN)
+    assert assert_parses_like_nested(data)[1].startswith("invalid JSON")
+
+
+def test_an_array_outside_a_matrix_or_state_is_never_read():
+    data = FROZEN_SCENARIO_BYTES.replace(b'"label":"T"', b'"label":[[1,0]]').replace(
+        b'[{"detector":"wigner","symmetry":"T"}]', b"[]"
+    )
+    assert assert_parses_like_nested(data) == (
+        "error", "symmetries[0].label: label must be a non-empty string", "symmetries[0].label",
+    )
+
+
+def test_a_huge_dim_allocates_nothing_before_the_payload_confirms_it():
+    data = FROZEN_SCENARIO_BYTES.replace(b'"dim":2', b'"dim":1000000')
+    tracemalloc.start()
+    try:
+        got = assert_parses_like_nested(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got[0] == "error"
+    assert peak < 10**7
+
+
+def test_invalid_utf8_is_a_document_error():
+    for data in (
+        b'{"dim":1,"requests":[],"schema_version":1,"x":"\xff"}',
+        FROZEN_SCENARIO_BYTES.replace(b'"seed":5', b'"seed":5,"x":"\xff"'),
+    ):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert err.value.path == "document"
+        assert str(err.value).startswith("document: invalid UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+
+# Parsed arrays are read-only views over immutable bytes, which memo keys reuse.
+
+
+def test_parsed_arrays_cannot_be_made_writable():
+    compact = parse_scenario(FROZEN_SCENARIO_BYTES)
+    nested = parse_scenario(json.dumps(json.loads(FROZEN_SCENARIO_BYTES)).encode())
+    built = small_scenario().symmetries["T"]
+    arrays = [built.unitary_part]
+    for parsed in (compact, nested):
+        arrays += [parsed.matrices["hamiltonian"], parsed.states["ground"], parsed.symmetries["T"].unitary_part]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_memo_key_of_a_parsed_matrix_holds_its_own_buffer():
+    parsed = parse_scenario(FROZEN_SCENARIO_BYTES)
+    for arr in (parsed.matrices["hamiltonian"], parsed.symmetries["T"].unitary_part):
+        ((shape, dtype, content),) = _content_key(arr)
+        assert content is arr.base
+        assert (shape, dtype, content) == (arr.shape, arr.dtype.str, arr.tobytes())
+    # equal content from another parse meets the same memo entry
+    again = parse_scenario(FROZEN_SCENARIO_BYTES).matrices["hamiltonian"]
+    assert again.base is not parsed.matrices["hamiltonian"].base
+    assert herm_eig(again) is herm_eig(parsed.matrices["hamiltonian"])
+
+
+def test_other_arrays_key_by_a_copy_of_their_content():
+    h = parse_scenario(FROZEN_SCENARIO_BYTES).matrices["hamiltonian"]
+    # views that do not cover the buffer in C order
+    for view in (h.T, h[1], h[:, 0]):
+        assert _content_key(view) == ((view.shape, view.dtype.str, view.tobytes()),)
+    built = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=complex)
+    key = _content_key(built)
+    assert key == ((built.shape, built.dtype.str, built.tobytes()),)
+    built[0, 0] += 0.25
+    assert _content_key(built) != key
+    # read-only, but it owns its memory and could be made writable again
+    built.setflags(write=False)
+    assert _content_key(built)[0][2] is not _content_key(built)[0][2]
+    fixed = frozen(built)
+    assert fixed is not built and frozen(fixed) is fixed
