@@ -64,7 +64,6 @@ def main(argv: list[str] | None = None) -> int:
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "seed": args.seed,
         "run_seconds": benchmark["run_seconds"],
-        "machine": None,
         "workloads": {},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
@@ -72,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
             print(f"{workload} --trace {trace} ...", file=sys.stderr, flush=True)
             runs[kind] = run_bench(workload, args.seed, benchmark["run_seconds"], trace)
-            record["machine"] = record["machine"] or runs[kind]["info"]["machine"]
         record["workloads"][workload] = runs
+    record["machine"] = runs["end_to_end"]["info"]["machine"]
     bad = [f"{w} {kind}: {run['info']['problems']}" for w, runs in record["workloads"].items()
            for kind, run in runs.items() if not run["correct"] or run["failed"]]
     if bad:

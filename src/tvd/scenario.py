@@ -287,7 +287,7 @@ def _read_spliced(payloads: dict[str, bytes], raw: object, shape: tuple[int, ...
     return _whole_complex_array(raw, shape)
 
 
-_Reader = Callable[[object, tuple[int, ...]], "np.ndarray | None"]
+_Reader = Callable[[object, tuple[int, ...]], np.ndarray | None]
 
 
 def _parse_matrix(raw: object, dim: int, path: str, read: _Reader) -> np.ndarray:
