@@ -21,6 +21,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .builders import MODEL_NAMES, build_model_scenario
 from .config import Tolerances
 from .errors import ConfigError, TvdError
@@ -276,7 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # input near the float limit overflows in the checks that reject it;
+        # the error line, not numpy's warnings, is what stderr should hold
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except TvdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,26 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import MisuseError, PremiseError
-from .linalg import as_state_vector, mat_exp, require_hermitian, require_unitary
-from .symmetry import COMMUTANT, InvarianceMargin, SymmetryTransform, apply
-from .verdict import (
-    REASON_BELOW_THRESHOLD,
-    REASON_INDETERMINATE,
-    REASON_PREMISE_UNMET,
-    Verdict,
-)
+from .errors import MisuseError
+from .linalg import as_state_vector, mat_exp, require_hermitian, require_normalized, require_unitary
+from .symmetry import InvarianceMargin, SymmetryTransform, apply, commutant_inference
+from .verdict import REASON_BELOW_THRESHOLD, REASON_PREMISE_UNMET, Verdict, classify
 
 
 def _require_linear(r: SymmetryTransform, what: str) -> None:
     if r.antilinear:
         raise MisuseError(f"{what} requires a linear symmetry, got antilinear {r.label!r}")
-
-
-def _require_normalized(psi: np.ndarray, tol: Tolerances, name: str) -> None:
-    dev = abs(float(np.linalg.norm(psi)) - 1.0)
-    if dev > tol.tau_zero:
-        raise PremiseError(f"{name} is not normalized (deviation {dev:.3e})")
 
 
 def unitary_curie_check(
@@ -52,8 +41,7 @@ def unitary_curie_check(
     """
     _require_linear(r, "unitary_curie_check")
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
-    psi_i = as_state_vector(psi_initial, dim=arr.shape[0], name="psi_initial")
-    _require_normalized(psi_i, tol, "psi_initial")
+    psi_i = require_normalized(psi_initial, dim=arr.shape[0], tol=tol.tau_zero, name="psi_initial")
     psi_f = mat_exp(arr, -1j * time) @ psi_i
 
     dev_initial = float(np.linalg.norm(apply(r, psi_i) - psi_i))
@@ -64,18 +52,16 @@ def unitary_curie_check(
         "time": float(time),
     }
 
-    for armed, moved, branch in (
-        (dev_initial, dev_final, "initial-fixed-final-moved"),
-        (dev_final, dev_initial, "final-fixed-initial-moved"),
+    for armed, quantity, branch in (
+        (dev_initial, "final_deviation", "initial-fixed-final-moved"),
+        (dev_final, "initial_deviation", "final-fixed-initial-moved"),
     ):
         if armed <= tol.tau_zero:
-            if moved > tol.tau_violation:
-                witness["branch"] = branch
-                witness["final_state"] = [complex(x) for x in psi_f]
-                return Verdict.violation(r.label or "R", margin=moved, witness=witness)
-            if moved > tol.tau_zero:
-                witness["note"] = "deviation falls in the hysteresis band"
-                return Verdict.no_conclusion(REASON_INDETERMINATE, margin=moved, witness=witness)
+            fields = {"branch": branch, "final_state": [complex(x) for x in psi_f]}
+            band = {"note": "deviation falls in the hysteresis band"}
+            verdict = classify(witness, quantity, r.label or "R", tol, violation=fields, band=band)
+            if verdict.reason != REASON_BELOW_THRESHOLD:
+                return verdict
 
     witness["note"] = "neither state is fixed by the symmetry, or both are"
     return Verdict.no_conclusion(REASON_PREMISE_UNMET, witness=witness)
@@ -121,18 +107,10 @@ def scattering_curie_check(
         )
 
     amplitude = complex(np.vdot(v_out, smat @ v_in))
-    witness = {
-        "branch": branch,
-        "amplitude": amplitude,
-        "amplitude_magnitude": abs(amplitude),
-    }
-    if abs(amplitude) > tol.tau_violation:
-        return Verdict.violation(f"{r.label or 'R'} on S", margin=abs(amplitude), witness=witness)
-    if abs(amplitude) > tol.tau_zero:
-        witness["note"] = "amplitude falls in the hysteresis band"
-        return Verdict.no_conclusion(REASON_INDETERMINATE, margin=abs(amplitude), witness=witness)
-    witness["note"] = "cross-parity amplitude is consistent with zero"
-    return Verdict.no_conclusion(REASON_BELOW_THRESHOLD, margin=abs(amplitude), witness=witness)
+    witness = {"branch": branch, "amplitude": amplitude, "amplitude_magnitude": abs(amplitude)}
+    band = {"note": "amplitude falls in the hysteresis band"}
+    zero = {"note": "cross-parity amplitude is consistent with zero"}
+    return classify(witness, "amplitude_magnitude", f"{r.label or 'R'} on S", tol, band=band, zero=zero)
 
 
 def s_matrix_inference(
@@ -147,21 +125,11 @@ def s_matrix_inference(
     the interacting dynamics cannot commute with R either. Both inputs
     must be commutant margins.
     """
-    for margin, name in ((r_h0_margin, "r_h0_margin"), (r_s_margin, "r_s_margin")):
-        if margin.comparison_kind != COMMUTANT:
-            raise MisuseError(f"{name} must be a commutant margin, got {margin.comparison_kind!r}")
-    witness = {
-        "free_hamiltonian_margin": r_h0_margin.value,
-        "smatrix_margin": r_s_margin.value,
-    }
-    if r_h0_margin.value > tol.tau_zero:
-        witness["note"] = "symmetry does not commute with the free Hamiltonian"
-        return Verdict.no_conclusion(REASON_PREMISE_UNMET, margin=r_s_margin.value, witness=witness)
-    if r_s_margin.value <= tol.tau_zero:
-        witness["note"] = "S-matrix margin is consistent with zero"
-        return Verdict.no_conclusion(REASON_BELOW_THRESHOLD, margin=r_s_margin.value, witness=witness)
-    if r_s_margin.value <= tol.tau_violation:
-        witness["note"] = "S-matrix margin falls in the hysteresis band"
-        return Verdict.no_conclusion(REASON_INDETERMINATE, margin=r_s_margin.value, witness=witness)
-    witness["note"] = "free dynamics symmetric while the S-matrix is not"
-    return Verdict.violation(f"{label} on H", margin=r_s_margin.value, witness=witness)
+    notes = (
+        "symmetry does not commute with the free Hamiltonian",
+        "free dynamics symmetric while the S-matrix is not",
+        "S-matrix margin falls in the hysteresis band",
+        "S-matrix margin is consistent with zero",
+    )
+    names, keys = ("r_h0_margin", "r_s_margin"), ("free_hamiltonian_margin", "smatrix_margin")
+    return commutant_inference(r_h0_margin, r_s_margin, f"{label} on H", tol, names, keys, notes)

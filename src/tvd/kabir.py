@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import MisuseError, PremiseError
-from .linalg import as_square_matrix, as_state_vector, dagger, frobenius_norm
+from .errors import MisuseError
+from .linalg import as_square_matrix, as_state_vector, require_unitary
 from .symmetry import SymmetryTransform, apply
-from .verdict import REASON_BELOW_THRESHOLD, REASON_INDETERMINATE, Verdict
+from .verdict import Verdict, classify
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,6 @@ class AmplitudePair:
     forward: complex
     reversed: complex
     asymmetry: float
-
-
-def _require_unitary_smatrix(s: np.ndarray, tol: Tolerances) -> np.ndarray:
-    smat = as_square_matrix(s, "smatrix")
-    dev = frobenius_norm(dagger(smat) @ smat - np.eye(smat.shape[0]))
-    if dev > tol.tau_zero:
-        raise PremiseError(f"the amplitude comparison needs a unitary S-matrix (deviation {dev:.3e})")
-    return smat
 
 
 def amplitude_pair(
@@ -47,7 +39,7 @@ def amplitude_pair(
     """``<psi_out, S psi_in>`` against ``<T psi_in, S T psi_out>``."""
     if not t.antilinear:
         raise MisuseError("the amplitude comparison requires an antilinear transform")
-    smat = _require_unitary_smatrix(s, tol)
+    smat = require_unitary(s, tol=tol.tau_zero, name="smatrix")
     v_in = as_state_vector(psi_in, dim=smat.shape[0], name="psi_in")
     v_out = as_state_vector(psi_out, dim=smat.shape[0], name="psi_out")
     forward = complex(np.vdot(v_out, smat @ v_in))
@@ -64,18 +56,10 @@ def kabir_check(
 ) -> Verdict:
     """Verdict form of the amplitude comparison."""
     pair = amplitude_pair(s, t, psi_in, psi_out, tol)
-    witness = {
-        "forward": pair.forward,
-        "reversed": pair.reversed,
-        "asymmetry": pair.asymmetry,
-    }
-    if pair.asymmetry > tol.tau_violation:
-        return Verdict.violation(f"{t.label or 'T'} on S", margin=pair.asymmetry, witness=witness)
-    if pair.asymmetry > tol.tau_zero:
-        witness["note"] = "asymmetry falls in the hysteresis band"
-        return Verdict.no_conclusion(REASON_INDETERMINATE, margin=pair.asymmetry, witness=witness)
-    witness["note"] = "forward and reversed amplitudes agree"
-    return Verdict.no_conclusion(REASON_BELOW_THRESHOLD, margin=pair.asymmetry, witness=witness)
+    witness = {"forward": pair.forward, "reversed": pair.reversed, "asymmetry": pair.asymmetry}
+    band = {"note": "asymmetry falls in the hysteresis band"}
+    zero = {"note": "forward and reversed amplitudes agree"}
+    return classify(witness, "asymmetry", f"{t.label or 'T'} on S", tol, band=band, zero=zero)
 
 
 def transition_probability(m: np.ndarray, psi_in: np.ndarray, psi_out: np.ndarray) -> float:

@@ -77,8 +77,19 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, n
 def require_unitary(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "matrix") -> np.ndarray:
     arr = as_square_matrix(a, name)
     dev = frobenius_norm(dagger(arr) @ arr - np.eye(arr.shape[0]))
-    if dev > tol:
+    # an overflowing product can leave a NaN deviation, which proves nothing
+    if not dev <= tol:
         raise ClassificationError(f"{name} is not unitary (deviation {dev:.3e})")
+    return arr
+
+
+def require_normalized(
+    v: np.ndarray | list, dim: int | None = None, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "state"
+) -> np.ndarray:
+    arr = as_state_vector(v, dim=dim, name=name)
+    dev = abs(float(np.linalg.norm(arr)) - 1.0)
+    if dev > tol:
+        raise PremiseError(f"{name} is not normalized (deviation {dev:.3e})")
     return arr
 
 
@@ -245,40 +256,19 @@ _SPECTRA = _Memo(4)
 def herm_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
     """Eigendecomposition with a deterministic choice of eigenvectors.
 
-    Within each near-degenerate eigenvalue cluster the vectors are
-    re-orthonormalized in index order, then every vector gets a canonical
+    The vectors are ``eigh``'s orthonormal columns, each given a canonical
     phase. Repeated calls on equal inputs give identical output.
 
     Results are memoised by exact content: a matrix with the same shape
-    and bytes as a recent one, under the same ``tau_eig``, gets that
-    call's read-only result object back. The Hermitian check runs on
-    every call, before the lookup.
+    and bytes as a recent one gets that call's read-only result object
+    back. The Hermitian check runs on every call, before the lookup.
     """
     arr = require_hermitian(a, tol=tol.tau_zero)
-    return _SPECTRA(_content_key(arr, tol.tau_eig), lambda: _decompose(arr, tol.tau_eig))
+    return _SPECTRA(_content_key(arr), lambda: _decompose(arr))
 
 
-def _decompose(arr: np.ndarray, tau_eig: float) -> EigenDecomposition:
-    herm = (arr + dagger(arr)) / 2.0
-    eigenvalues, vectors = np.linalg.eigh(herm)
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    vectors = np.asarray(vectors, dtype=complex).copy()
-
-    spread = float(eigenvalues[-1] - eigenvalues[0]) if eigenvalues.size > 1 else 0.0
-    gap_limit = tau_eig * max(1.0, spread)
-    start = 0
-    for stop in range(1, eigenvalues.size + 1):
-        if stop < eigenvalues.size and eigenvalues[stop] - eigenvalues[stop - 1] <= gap_limit:
-            continue
-        if stop - start > 1:
-            # modified Gram-Schmidt in index order inside the cluster
-            for k in range(start, stop):
-                for p in range(start, k):
-                    vectors[:, k] -= np.vdot(vectors[:, p], vectors[:, k]) * vectors[:, p]
-                nrm = np.linalg.norm(vectors[:, k])
-                if nrm > 0.0:
-                    vectors[:, k] /= nrm
-        start = stop
+def _decompose(arr: np.ndarray) -> EigenDecomposition:
+    eigenvalues, vectors = np.linalg.eigh((arr + dagger(arr)) / 2.0)
     for k in range(eigenvalues.size):
         vectors[:, k] = _phase_fix(vectors[:, k])
     vectors.setflags(write=False)

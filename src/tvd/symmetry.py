@@ -27,12 +27,7 @@ from .linalg import (
     require_hermitian,
     require_unitary,
 )
-from .verdict import (
-    REASON_BELOW_THRESHOLD,
-    REASON_INDETERMINATE,
-    REASON_PREMISE_UNMET,
-    Verdict,
-)
+from .verdict import REASON_PREMISE_UNMET, Verdict, classify, require_finite
 
 COMMUTANT = "commutant"
 TIME_REVERSAL_UNITARY = "time_reversal_unitary"
@@ -161,6 +156,34 @@ def smatrix_reversal_margin(t: SymmetryTransform, s: np.ndarray, tol: Tolerances
     return InvarianceMargin(value=value, comparison_kind=TIME_REVERSAL_SMATRIX)
 
 
+def commutant_inference(
+    premise: InvarianceMargin,
+    deciding: InvarianceMargin,
+    symmetry: str,
+    tol: Tolerances,
+    names: tuple[str, str],
+    keys: tuple[str, str],
+    notes: tuple[str, str, str, str],
+) -> Verdict:
+    """A Violation of ``symmetry`` when ``premise`` commutes and ``deciding`` does not.
+
+    Both margins must be finite commutant margins; ``names`` are their
+    argument names and ``keys`` their witness keys. The premise holds at or
+    below ``tau_zero``; ``classify`` then decides on the other margin.
+    ``notes`` are the witness notes for premise unmet, violation, band and
+    zero, in that order.
+    """
+    for margin, name, key in zip((premise, deciding), names, keys):
+        if margin.comparison_kind != COMMUTANT:
+            raise MisuseError(f"{name} must be a commutant margin, got {margin.comparison_kind!r}")
+        require_finite(margin.value, key)
+    witness = dict(zip(keys, (premise.value, deciding.value)))
+    unmet, violation, band, zero = ({"note": note} for note in notes)
+    if premise.value > tol.tau_zero:
+        return Verdict.no_conclusion(REASON_PREMISE_UNMET, margin=deciding.value, witness={**witness, **unmet})
+    return classify(witness, keys[1], symmetry, tol, violation, band, zero)
+
+
 def cpt_link_inference(
     cpt_margin: InvarianceMargin,
     cp_margin: InvarianceMargin,
@@ -172,21 +195,11 @@ def cpt_link_inference(
     alone does not, time reversal invariance must fail as well. Both
     margins must be commutant margins against the same Hamiltonian.
     """
-    for margin, name in ((cpt_margin, "cpt_margin"), (cp_margin, "cp_margin")):
-        if margin.comparison_kind != COMMUTANT:
-            raise MisuseError(f"{name} must be a commutant margin, got {margin.comparison_kind!r}")
-    witness = {
-        "cpt_margin": cpt_margin.value,
-        "cp_margin": cp_margin.value,
-    }
-    if cpt_margin.value > tol.tau_zero:
-        witness["note"] = "composite CPT transform does not commute with the dynamics"
-        return Verdict.no_conclusion(REASON_PREMISE_UNMET, margin=cp_margin.value, witness=witness)
-    if cp_margin.value <= tol.tau_zero:
-        witness["note"] = "CP margin is consistent with zero"
-        return Verdict.no_conclusion(REASON_BELOW_THRESHOLD, margin=cp_margin.value, witness=witness)
-    if cp_margin.value <= tol.tau_violation:
-        witness["note"] = "CP margin falls in the hysteresis band"
-        return Verdict.no_conclusion(REASON_INDETERMINATE, margin=cp_margin.value, witness=witness)
-    witness["note"] = "CPT invariant while CP is violated"
-    return Verdict.violation("T", margin=cp_margin.value, witness=witness)
+    notes = (
+        "composite CPT transform does not commute with the dynamics",
+        "CPT invariant while CP is violated",
+        "CP margin falls in the hysteresis band",
+        "CP margin is consistent with zero",
+    )
+    names = ("cpt_margin", "cp_margin")
+    return commutant_inference(cpt_margin, cp_margin, "T", tol, names, names, notes)

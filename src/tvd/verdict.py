@@ -10,14 +10,19 @@ was observed. A ``NoConclusion`` carries one of three reason codes:
   consistent with zero.
 * ``indeterminate``: the measured quantity falls in the hysteresis band
   between ``tau_zero`` and ``tau_violation``.
+
+``classify`` is that ladder, shared by every detector that decides on
+one scalar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import TvdError
+from .config import Tolerances
+from .errors import PremiseError, TvdError
 
 VIOLATION = "Violation"
 NO_CONCLUSION = "NoConclusion"
@@ -45,6 +50,8 @@ class Verdict:
     def violation(cls, symmetry: str, margin: float, witness: Mapping[str, Any]) -> "Verdict":
         if not witness:
             raise TvdError("a Violation verdict requires a non-empty witness")
+        if not math.isfinite(margin):
+            raise TvdError(f"a Violation verdict requires a finite margin, got {margin}")
         if not symmetry:
             raise TvdError("a Violation verdict requires a symmetry label")
         return cls(
@@ -69,3 +76,33 @@ class Verdict:
             reason=reason,
             witness=dict(witness or {}),
         )
+
+
+def require_finite(value: float, quantity: str) -> float:
+    """``value``, unless it is a NaN or an infinity, which no threshold can place."""
+    if not math.isfinite(value):
+        raise PremiseError(f"{quantity} is not finite ({value})")
+    return value
+
+
+def classify(
+    witness: Mapping[str, Any],
+    quantity: str,
+    symmetry: str,
+    tol: Tolerances,
+    violation: Mapping[str, Any] | None = None,
+    band: Mapping[str, Any] | None = None,
+    zero: Mapping[str, Any] | None = None,
+) -> Verdict:
+    """The one-sided ladder on the deciding quantity ``witness[quantity]``.
+
+    Above ``tol.tau_violation`` it is a Violation of ``symmetry``, above
+    ``tol.tau_zero`` indeterminate, otherwise below threshold; the margin is
+    the quantity, and each outcome's witness adds the entries of
+    ``violation``, ``band`` or ``zero``. A non-finite quantity is a PremiseError.
+    """
+    value = require_finite(witness[quantity], quantity)
+    if value > tol.tau_violation:
+        return Verdict.violation(symmetry, margin=value, witness={**witness, **(violation or {})})
+    reason, extra = (REASON_INDETERMINATE, band) if value > tol.tau_zero else (REASON_BELOW_THRESHOLD, zero)
+    return Verdict.no_conclusion(reason, margin=value, witness={**witness, **(extra or {})})

@@ -16,12 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MisuseError, PremiseError
-from .linalg import (
-    as_state_vector,
-    frobenius_norm,
-    herm_eig,
-    require_hermitian,
-)
+from .linalg import frobenius_norm, herm_eig, require_hermitian, require_normalized
 from .symmetry import InvarianceMargin, SymmetryTransform, apply, invariance_margin
 from .verdict import (
     REASON_BELOW_THRESHOLD,
@@ -117,10 +112,7 @@ def ray_displacement(t: SymmetryTransform, psi: np.ndarray, tol: Tolerances = DE
     """
     if not t.antilinear:
         raise MisuseError("ray displacement applies to antilinear transforms")
-    vec = as_state_vector(psi, dim=t.dim)
-    norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
-    if norm_dev > tol.tau_zero:
-        raise PremiseError(f"state is not normalized (deviation {norm_dev:.3e})")
+    vec = require_normalized(psi, dim=t.dim, tol=tol.tau_zero)
     overlap = abs(complex(np.vdot(apply(t, vec), vec)))
     return max(0.0, 1.0 - overlap)
 

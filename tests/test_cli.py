@@ -76,6 +76,53 @@ def test_check_integer_too_large_for_a_float_is_bad_input(tmp_path, capsysbinary
     assert err == b"error: matrices.smatrix[0][1]: complex entries must hold finite numbers\n"
 
 
+# H = diag(1e308, -1e308) is finite and Hermitian, but both commutant margins
+# overflow to inf / inf = nan
+NAN_MARGIN_SCENARIO = {
+    "dim": 2,
+    "matrices": {"hamiltonian": [[[1e308, 0], [0, 0]], [[0, 0], [-1e308, 0]]]},
+    "requests": [{"cp_symmetry": "CP", "cpt_symmetry": "CPT", "detector": "cpt_link"}],
+    "schema_version": 1,
+    "symmetries": [
+        {"antilinear": False, "label": "CP", "unitary_part": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+        {"antilinear": True, "label": "CPT", "unitary_part": [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]},
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["check"], ["oracle", "--format", "text"]], ids=["check", "oracle"])
+def test_non_finite_deciding_quantity_is_bad_input(tmp_path, capsysbinary, argv):
+    target = tmp_path / "nan_margin.json"
+    target.write_text(json.dumps(NAN_MARGIN_SCENARIO))
+    got = run_cli(capsysbinary, *argv, "--scenario", str(target))
+    assert got == (2, b"", b"error: requests[0]: cpt_margin is not finite (nan)\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "section, key, err",
+    [
+        ("states", "kaon_long", b"error: states.kaon_long: state is not normalized (deviation inf)\n"),
+        (
+            "symmetries",
+            0,
+            b"error: symmetries[0].unitary_part: unitary_part of CP is not unitary (deviation nan)\n",
+        ),
+    ],
+    ids=["state", "unitary_part"],
+)
+def test_entry_near_the_float_limit_prints_only_the_error_line(tmp_path, capsysbinary, section, key, err):
+    doc = json.loads(KAON_DECAY.read_bytes())
+    if section == "states":
+        doc["states"][key][0] = [1e308, 0]
+    else:
+        doc["symmetries"][key]["unitary_part"][0][0] = [1e308, 0]
+    target = tmp_path / "near_limit.json"
+    target.write_text(json.dumps(doc))
+    assert run_cli(capsysbinary, "check", "--scenario", str(target)) == (2, b"", err)
+
+
 @pytest.mark.parametrize(
     "version, code, err",
     [

@@ -7,7 +7,7 @@ from tvd import (
     NO_CONCLUSION,
     REASON_BELOW_THRESHOLD,
     VIOLATION,
-    PremiseError,
+    ClassificationError,
     MisuseError,
     SymmetryTransform,
     amplitude_pair,
@@ -49,7 +49,7 @@ def test_linear_transform_is_rejected():
 
 
 def test_non_unitary_smatrix_is_rejected():
-    with pytest.raises(PremiseError):
+    with pytest.raises(ClassificationError, match="smatrix is not unitary"):
         kabir_check(2.0 * ASYMMETRIC_S, conjugation(2), E0, E1)
 
 

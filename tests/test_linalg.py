@@ -111,11 +111,22 @@ def test_herm_eig_phase_convention():
 
 
 def test_herm_eig_degenerate_block_is_orthonormal():
-    h = np.diag([1.0, 1.0, 2.0]).astype(complex)
-    decomp = herm_eig(h)
-    v = decomp.eigenvectors
-    assert frobenius_norm(dagger(v) @ v - np.eye(3)) <= 1e-12
-    assert np.allclose(decomp.eigenvalues, [1.0, 1.0, 2.0])
+    # eigh's columns are orthonormal as they come, degenerate clusters included,
+    # so herm_eig needs no re-orthonormalization of its own
+    u64 = random_unitary(64, seed=3)
+    u6 = random_unitary(6, seed=4)
+    split = [1.0, 1.0 + 3e-9, 1.0 + 6e-9, 2.0, 2.0 + 5e-9, 3.0]  # gaps below tau_eig
+    cases = [
+        np.diag([1.0, 1.0, 2.0]).astype(complex),
+        u64 @ np.diag(np.full(64, 2.5)) @ dagger(u64),
+        u6 @ np.diag(split) @ dagger(u6),
+    ]
+    for h in cases:
+        decomp = herm_eig(h)
+        v = decomp.eigenvectors
+        assert frobenius_norm(dagger(v) @ v - np.eye(len(h))) <= 1e-12
+        assert frobenius_norm((v * decomp.eigenvalues) @ dagger(v) - h) <= 1e-12 * frobenius_norm(h)
+    assert np.allclose(herm_eig(cases[0]).eigenvalues, [1.0, 1.0, 2.0])
 
 
 def test_random_unitary_is_unitary_and_seeded():
