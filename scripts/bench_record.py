@@ -9,7 +9,10 @@ Runs ``python3 perfbench/run.py`` on every workload that ``BENCHMARK.json``
 declares, once with ``--trace 0`` (end-to-end metrics) and once with
 ``--trace 1`` (per-layer metrics), each for the declared run length. The
 file holds the git revision, the seed, the machine facts and, for each run,
-its metrics, correctness counts, digest check and ``info`` line. Runs one
+its metrics, correctness counts, digest check and ``info`` line. It also
+records whether ``src/tvd/__pycache__`` existed when it started: under
+``PYTHONDONTWRITEBYTECODE=1`` a checkout holding bytecode from an earlier run
+starts each CLI launch faster than one that compiles every time. Runs one
 after another, so nothing else should be running on the machine. Writes no
 file if any run fails its correctness gate.
 """
@@ -58,11 +61,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    pycache = (ROOT / "src" / "tvd" / "__pycache__").is_dir()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     record: dict = {
         "revision": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "seed": args.seed,
+        "pycache_at_start": pycache,
         "run_seconds": benchmark["run_seconds"],
         "workloads": {},
     }

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import MisuseError
+from .errors import ClassificationError, MisuseError
 from .linalg import as_state_vector, mat_exp, require_hermitian, require_normalized, require_unitary
 from .symmetry import InvarianceMargin, SymmetryTransform, apply, commutant_inference
 from .verdict import REASON_BELOW_THRESHOLD, REASON_PREMISE_UNMET, Verdict, classify
@@ -43,6 +43,10 @@ def unitary_curie_check(
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
     psi_i = require_normalized(psi_initial, dim=arr.shape[0], tol=tol.tau_zero, name="psi_initial")
     psi_f = mat_exp(arr, -1j * time) @ psi_i
+    if not np.all(np.isfinite(psi_f)):
+        raise ClassificationError(
+            f"final state at time {float(time):g} is not finite: the propagator exp(-itH) overflows"
+        )
 
     dev_initial = float(np.linalg.norm(apply(r, psi_i) - psi_i))
     dev_final = float(np.linalg.norm(apply(r, psi_f) - psi_f))

@@ -56,19 +56,27 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
+def _hermitian_deviation(arr: np.ndarray) -> float:
+    """``||A - A^dag||_F`` of a square matrix, memoised by content."""
+    return _DEVIATIONS(_content_key("hermitian", arr), lambda: frobenius_norm(arr - dagger(arr)))
+
+
+def _unitary_deviation(arr: np.ndarray) -> float:
+    """``||A^dag A - I||_F`` of a square matrix, memoised by content."""
+    return _DEVIATIONS(_content_key("unitary", arr), lambda: frobenius_norm(dagger(arr) @ arr - np.eye(len(arr))))
+
+
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero) -> bool:
-    arr = as_square_matrix(a)
-    return frobenius_norm(arr - dagger(arr)) <= tol
+    return _hermitian_deviation(as_square_matrix(a)) <= tol
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero) -> bool:
-    arr = as_square_matrix(a)
-    return frobenius_norm(dagger(arr) @ arr - np.eye(arr.shape[0])) <= tol
+    return _unitary_deviation(as_square_matrix(a)) <= tol
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "matrix") -> np.ndarray:
     arr = as_square_matrix(a, name)
-    dev = frobenius_norm(arr - dagger(arr))
+    dev = _hermitian_deviation(arr)
     if dev > tol:
         raise ClassificationError(f"{name} is not Hermitian (deviation {dev:.3e})")
     return arr
@@ -76,18 +84,23 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, n
 
 def require_unitary(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "matrix") -> np.ndarray:
     arr = as_square_matrix(a, name)
-    dev = frobenius_norm(dagger(arr) @ arr - np.eye(arr.shape[0]))
+    dev = _unitary_deviation(arr)
     # an overflowing product can leave a NaN deviation, which proves nothing
     if not dev <= tol:
         raise ClassificationError(f"{name} is not unitary (deviation {dev:.3e})")
     return arr
 
 
+def norm_deviation(v: np.ndarray) -> float:
+    """``| ||v|| - 1 |``, the quantity ``require_normalized`` bounds."""
+    return abs(float(np.linalg.norm(v)) - 1.0)
+
+
 def require_normalized(
     v: np.ndarray | list, dim: int | None = None, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "state"
 ) -> np.ndarray:
     arr = as_state_vector(v, dim=dim, name=name)
-    dev = abs(float(np.linalg.norm(arr)) - 1.0)
+    dev = norm_deviation(arr)
     if dev > tol:
         raise PremiseError(f"{name} is not normalized (deviation {dev:.3e})")
     return arr
@@ -250,6 +263,8 @@ def _content_key(*parts: object) -> tuple:
     )
 
 
+# Each caller compares a memoised deviation with its own tolerance.
+_DEVIATIONS = _Memo(8)
 _SPECTRA = _Memo(4)
 
 
@@ -269,6 +284,10 @@ def herm_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomp
 
 def _decompose(arr: np.ndarray) -> EigenDecomposition:
     eigenvalues, vectors = np.linalg.eigh((arr + dagger(arr)) / 2.0)
+    # entries near the float limit overflow the Hermitian part, and eigh
+    # then returns NaN, which no detector may read as a spectrum
+    if not np.all(np.isfinite(eigenvalues)):
+        raise ClassificationError("the spectrum is not finite: the Hermitian part overflows")
     for k in range(eigenvalues.size):
         vectors[:, k] = _phase_fix(vectors[:, k])
     vectors.setflags(write=False)

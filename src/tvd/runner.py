@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import Tolerances
 from .curie import s_matrix_inference, scattering_curie_check, unitary_curie_check
-from .errors import ScenarioError
+from .errors import ClassificationError, ScenarioError
 from .kabir import kabir_check
 from .linalg import _content_key, _Memo
 from .scenario import (
@@ -106,6 +106,8 @@ def _conjugated(g: SymmetryTransform, a: np.ndarray) -> np.ndarray:
 _ORACLE_SPECTRA = _Memo(4)
 _ORACLE_MARGINS = _Memo(8)
 _ORACLE_REVERSALS = _Memo(8)
+_ORACLE_S_COMMUTANTS = _Memo(8)
+_ORACLE_S_DEFECTS = _Memo(8)
 
 
 def _commutant_margin(g: SymmetryTransform, a: np.ndarray) -> float:
@@ -113,6 +115,20 @@ def _commutant_margin(g: SymmetryTransform, a: np.ndarray) -> float:
         _content_key(g.unitary_part, g.antilinear, a),
         lambda: _norm(_conjugated(g, a) - a) / max(1.0, _norm(a)),
     )
+
+
+def _s_commutant(r: SymmetryTransform, smat: np.ndarray) -> float:
+    """``||RS - SR||_F / max(1, ||S||_F)`` for the unitary part R of r."""
+    u = r.unitary_part
+    return _ORACLE_S_COMMUTANTS(
+        _content_key(u, smat), lambda: _norm(u @ smat - smat @ u) / max(1.0, _norm(smat))
+    )
+
+
+def _reversal_defect(t: SymmetryTransform, smat: np.ndarray) -> float:
+    """``||U conj(S) U^dag - S^dag||_F`` for the unitary part U of t."""
+    u = t.unitary_part
+    return _ORACLE_S_DEFECTS(_content_key(u, smat), lambda: _norm(u @ smat.conj() @ u.conj().T - smat.conj().T))
 
 
 def _derived_reversal(cp: SymmetryTransform, cpt: SymmetryTransform) -> SymmetryTransform:
@@ -128,6 +144,8 @@ def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     def compute() -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+        if not np.all(np.isfinite(values)):
+            raise ClassificationError("oracle spectrum is not finite: the Hermitian part overflows")
         values.setflags(write=False)
         vectors.setflags(write=False)
         return values, vectors
@@ -258,7 +276,7 @@ def oracle_record(scenario: Scenario, request: Request, verdict: Verdict, tol: T
     if detector == "scattering_curie":
         r = g[p["symmetry"]]
         smat = m["smatrix"]
-        truth = _norm(r.unitary_part @ smat - smat @ r.unitary_part) / max(1.0, _norm(smat))
+        truth = _s_commutant(r, smat)
         v_in = scenario.states[p["state_in"]]
         v_out = scenario.states[p["state_out"]]
         amplitude = abs(complex(np.vdot(v_out, smat @ v_in)))
@@ -298,8 +316,7 @@ def oracle_record(scenario: Scenario, request: Request, verdict: Verdict, tol: T
     if detector == "kabir":
         t = g[p["symmetry"]]
         smat = m["smatrix"]
-        u = t.unitary_part
-        reversal_defect = _norm(u @ smat.conj() @ u.conj().T - smat.conj().T)
+        reversal_defect = _reversal_defect(t, smat)
         v_in = scenario.states[p["state_in"]]
         v_out = scenario.states[p["state_out"]]
         forward = complex(np.vdot(v_out, smat @ v_in))

@@ -41,8 +41,10 @@ class SymmetryTransform:
     label: str = ""
 
     def __post_init__(self) -> None:
-        arr = require_unitary(self.unitary_part, name=f"unitary_part of {self.label or 'transform'}")
-        object.__setattr__(self, "unitary_part", frozen(arr))
+        # frozen before the check, so that its memo key is this transform's own buffer
+        arr = frozen(np.asarray(self.unitary_part, dtype=complex))
+        require_unitary(arr, name=f"unitary_part of {self.label or 'transform'}")
+        object.__setattr__(self, "unitary_part", arr)
         object.__setattr__(self, "antilinear", bool(self.antilinear))
 
     @property

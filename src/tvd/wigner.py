@@ -16,7 +16,16 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MisuseError, PremiseError
-from .linalg import frobenius_norm, herm_eig, require_hermitian, require_normalized
+from .linalg import (
+    EigenDecomposition,
+    _content_key,
+    _Memo,
+    frobenius_norm,
+    herm_eig,
+    norm_deviation,
+    require_hermitian,
+    require_normalized,
+)
 from .symmetry import InvarianceMargin, SymmetryTransform, apply, invariance_margin
 from .verdict import (
     REASON_BELOW_THRESHOLD,
@@ -65,21 +74,19 @@ def spectrum_clusters(eigenvalues: np.ndarray, gap_tol: float = DEFAULT_TOLERANC
         raise PremiseError(f"gap_tol must be positive, got {gap_tol}")
     spectral_range = float(values[-1] - values[0])
     limit = gap_tol * max(1.0, spectral_range)
-    clusters: list[Cluster] = []
-    start = 0
-    for stop in range(1, values.size + 1):
-        if stop < values.size and values[stop] - values[stop - 1] <= limit:
-            continue
-        members = tuple(range(start, stop))
-        clusters.append(
-            Cluster(
-                value=float(np.mean(values[start:stop])),
-                multiplicity=stop - start,
-                indices=members,
-            )
+    # a cluster ends wherever a gap is not within the limit (a NaN gap included)
+    bounds = [0, *(np.flatnonzero(~(np.diff(values) <= limit)) + 1).tolist(), values.size]
+    # np.mean of one value is 0.0 + value: the same bits, except -0.0 becomes 0.0
+    singles = (values + 0.0).tolist()
+    clusters = tuple(
+        Cluster(
+            value=singles[start] if stop - start == 1 else float(np.mean(values[start:stop])),
+            multiplicity=stop - start,
+            indices=tuple(range(start, stop)),
         )
-        start = stop
-    return SpectrumClusters(clusters=tuple(clusters), spectral_range=spectral_range, gap_tol=float(gap_tol))
+        for start, stop in zip(bounds, bounds[1:])
+    )
+    return SpectrumClusters(clusters=clusters, spectral_range=spectral_range, gap_tol=float(gap_tol))
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,28 @@ def ray_displacement(t: SymmetryTransform, psi: np.ndarray, tol: Tolerances = DE
     """
     if not t.antilinear:
         raise MisuseError("ray displacement applies to antilinear transforms")
-    vec = require_normalized(psi, dim=t.dim, tol=tol.tau_zero)
-    overlap = abs(complex(np.vdot(apply(t, vec), vec)))
-    return max(0.0, 1.0 - overlap)
+    return _displacement(t, require_normalized(psi, dim=t.dim, tol=tol.tau_zero))
+
+
+def _displacement(t: SymmetryTransform, vec: np.ndarray) -> float:
+    return max(0.0, 1.0 - abs(complex(np.vdot(apply(t, vec), vec))))
+
+
+_RAYS = _Memo(4)
+
+
+def _eigenrays(arr: np.ndarray, t: SymmetryTransform, decomp: EigenDecomposition) -> tuple[tuple[float, float], ...]:
+    """``(norm deviation, ray displacement)`` of every eigenvector of ``arr`` under t.
+
+    Memoised by the content of ``arr``, t's unitary part and its antilinear
+    flag, so all requests against one (H, T) pair share one table.
+    """
+
+    def compute() -> tuple[tuple[float, float], ...]:
+        vectors = (decomp.vector(k) for k in range(decomp.eigenvalues.size))
+        return tuple((norm_deviation(vec), _displacement(t, vec)) for vec in vectors)
+
+    return _RAYS(_content_key(arr, t.unitary_part, t.antilinear), compute)
 
 
 def _isolated(clusters: SpectrumClusters, k: int, eigenvalues: np.ndarray, confident_limit: float) -> bool:
@@ -172,12 +198,16 @@ def wigner_principle_check(
             },
         )
 
+    rays = _eigenrays(arr, t, decomp)
     best_k = -1
     best_delta = -1.0
     band_hit = False
     for k in simple:
         index = clusters.clusters[k].indices[0]
-        delta = ray_displacement(t, decomp.vector(index), tol=tol)
+        norm_dev, delta = rays[index]
+        if norm_dev > tol.tau_zero:
+            # the first simple level off the unit sphere fails as a cold check would
+            require_normalized(decomp.vector(index), dim=t.dim, tol=tol.tau_zero)
         confident = _isolated(clusters, k, decomp.eigenvalues, confident_limit)
         if delta > tol.tau_violation and confident and delta > best_delta:
             best_k = k

@@ -99,6 +99,40 @@ def test_non_finite_deciding_quantity_is_bad_input(tmp_path, capsysbinary, argv)
     assert got == (2, b"", b"error: requests[0]: cpt_margin is not finite (nan)\n")
 
 
+# the same H overflows (H + H^dag) / 2 in the eigendecomposition, and the
+# Pade propagator exp(-itH)
+OVERFLOWING_SPECTRUM = {
+    "wigner": (
+        {"detector": "wigner", "symmetry": "K"},
+        {"antilinear": True, "label": "K", "unitary_part": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        b"error: requests[0]: the spectrum is not finite: the Hermitian part overflows\n",
+    ),
+    "unitary_curie": (
+        {"detector": "unitary_curie", "state": "up", "symmetry": "R", "time": 1.0},
+        {"antilinear": False, "label": "R", "unitary_part": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+        b"error: requests[0]: final state at time 1 is not finite: the propagator exp(-itH) overflows\n",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("detector", sorted(OVERFLOWING_SPECTRUM))
+@pytest.mark.parametrize("argv", [["check"], ["oracle", "--format", "text"]], ids=["check", "oracle"])
+def test_overflowing_hamiltonian_is_bad_input(tmp_path, capsysbinary, argv, detector):
+    request, symmetry, err = OVERFLOWING_SPECTRUM[detector]
+    doc = {
+        "dim": 2,
+        "matrices": NAN_MARGIN_SCENARIO["matrices"],
+        "requests": [request],
+        "schema_version": 1,
+        "states": {"up": [[1, 0], [0, 0]]},
+        "symmetries": [symmetry],
+    }
+    target = tmp_path / "overflow.json"
+    target.write_text(json.dumps(doc))
+    assert run_cli(capsysbinary, *argv, "--scenario", str(target)) == (2, b"", err)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "section, key, err",

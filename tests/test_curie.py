@@ -170,3 +170,12 @@ def test_verdicts_are_deterministic():
     first = scattering_curie_check(model.smatrix, model.cp, model.psi_in, model.psi_out)
     second = scattering_curie_check(model.smatrix, model.cp, model.psi_in, model.psi_out)
     assert first == second
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_propagator_names_the_final_state():
+    swap = SymmetryTransform(SIGMA_X, antilinear=False, label="R")
+    h = np.diag([1e308, -1e308]).astype(complex)
+    with pytest.raises(ClassificationError) as info:
+        unitary_curie_check(h, swap, E0, 0.5)
+    assert str(info.value) == "final state at time 0.5 is not finite: the propagator exp(-itH) overflows"

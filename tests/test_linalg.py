@@ -21,6 +21,7 @@ from tvd import (
     random_hermitian,
     random_unitary,
 )
+from tvd import runner
 from tvd.linalg import _SPECTRA
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -161,3 +162,13 @@ def test_normalize_and_zero_vector():
     assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-15
     with pytest.raises(PremiseError):
         normalize(np.zeros(3, dtype=complex))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_hermitian_part_has_no_spectrum():
+    # (H + H^dag) / 2 overflows to inf, where eigh returns NaN
+    h = np.diag([1e308, -1e308]).astype(complex)
+    with pytest.raises(ClassificationError, match="spectrum is not finite"):
+        herm_eig(h)
+    with pytest.raises(ClassificationError, match="oracle spectrum is not finite"):
+        runner._spectrum(h)

@@ -1,4 +1,4 @@
-"""Memo tables for eigendecompositions and commutant margins.
+"""Memo tables for eigendecompositions, margins, eigenrays and input checks.
 
 A memoised call must return exactly what a cold call returns, for the
 current content of its inputs, and every table must stay within its bound.
@@ -10,11 +10,12 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvd import (
     ClassificationError,
+    PremiseError,
     Request,
     Scenario,
     SymmetryTransform,
@@ -23,30 +24,53 @@ from tvd import (
     herm_eig,
     identity_transform,
     invariance_margin,
+    kabir_check,
+    mat_exp,
     normalize,
     oracle_compare,
     random_hermitian,
     random_unitary,
     run_scenario,
     serialize_report,
+    symmetrize_invariant,
 )
-from tvd import runner, symmetry
-from tvd.linalg import _MEMOS, _SPECTRA
+from tvd import linalg, runner, symmetry, wigner
+from tvd.linalg import _DEVIATIONS, _MEMOS, _SPECTRA
 from tvd.symmetry import compose, inverse
 
 from conftest import clear_memos
 
-DETECTOR_MEMOS = (_SPECTRA, symmetry._MARGINS)
-ORACLE_MEMOS = (runner._ORACLE_SPECTRA, runner._ORACLE_MARGINS, runner._ORACLE_REVERSALS)
+DETECTOR_MEMOS = (_SPECTRA, symmetry._MARGINS, wigner._RAYS)
+ORACLE_MEMOS = (
+    runner._ORACLE_SPECTRA,
+    runner._ORACLE_MARGINS,
+    runner._ORACLE_REVERSALS,
+    runner._ORACLE_S_COMMUTANTS,
+    runner._ORACLE_S_DEFECTS,
+)
+# the Hermitian and unitary input checks, which both sides run: building a
+# SymmetryTransform runs one, also for the reversal the oracle derives
+CHECK_MEMOS = (_DEVIATIONS,)
 SWAP = SymmetryTransform(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), antilinear=False, label="R")
+FLIP = SymmetryTransform(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), antilinear=True, label="T")
 
 
-# one call per memo table: (inputs built from a seed, the memoised call)
+def eigenrays(t: SymmetryTransform, h: np.ndarray) -> tuple:
+    return wigner._eigenrays(h, t, herm_eig(h))
+
+
+# one call per memo table: (inputs built from a seed, the memoised call);
+# the last input is the array that an in-place change alters
 CALLS = {
     "herm_eig": (lambda seed: (random_hermitian(2, seed),), herm_eig),
     "invariance_margin": (lambda seed: (SWAP, random_hermitian(2, seed)), invariance_margin),
+    "hermitian_deviation": (lambda seed: (random_unitary(2, seed),), linalg._hermitian_deviation),
+    "unitary_deviation": (lambda seed: (random_unitary(2, seed),), linalg._unitary_deviation),
+    "eigenrays": (lambda seed: (FLIP, random_hermitian(2, seed)), eigenrays),
     "oracle_spectrum": (lambda seed: (random_hermitian(2, seed),), runner._spectrum),
     "oracle_margin": (lambda seed: (SWAP, random_hermitian(2, seed)), runner._commutant_margin),
+    "oracle_s_commutant": (lambda seed: (SWAP, random_unitary(2, seed)), runner._s_commutant),
+    "oracle_reversal_defect": (lambda seed: (FLIP, random_unitary(2, seed)), runner._reversal_defect),
 }
 
 
@@ -77,7 +101,9 @@ def test_in_place_mutation_misses_the_memo(name):
     make, call = CALLS[name]
     args = make(8)
     first = call(*args)
-    args[-1][0, 0] += 0.25
+    # a scaled diagonal entry keeps a Hermitian input Hermitian, and moves the
+    # imaginary part that a Hermitian deviation sees
+    args[-1][0, 0] *= 1.25
     changed = call(*args)
     clear_memos()
     assert as_bytes(changed) == as_bytes(call(*args))
@@ -98,6 +124,27 @@ def test_hermitian_check_runs_on_every_call():
             herm_eig(nearly, tol=Tolerances(tau_zero=1e-13))
 
 
+def test_unitary_check_runs_on_every_call():
+    bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    for _ in range(2):
+        with pytest.raises(ClassificationError, match="is not unitary"):
+            linalg.require_unitary(bad)
+    # an S-matrix accepted under the default tau_zero is memoised, and must
+    # still be rejected under a stricter one, by the detector as by the check
+    nearly = random_unitary(2, seed=4) * (1.0 + 1e-11)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    strict = Tolerances(tau_zero=1e-13)
+    assert linalg.require_unitary(nearly) is nearly
+    kabir_check(nearly, FLIP, psi, psi)
+    for _ in range(2):
+        with pytest.raises(ClassificationError, match="smatrix is not unitary"):
+            kabir_check(nearly, FLIP, psi, psi, tol=strict)
+        with pytest.raises(ClassificationError, match="is not unitary"):
+            linalg.require_unitary(nearly, tol=strict.tau_zero)
+    assert linalg.require_unitary(nearly) is nearly
+    assert len(_DEVIATIONS.table) == 2
+
+
 def test_every_scalar_input_is_part_of_the_key():
     h = random_hermitian(3, seed=5)
     # tau_eig does not change a decomposition, so it is no part of the key
@@ -106,6 +153,9 @@ def test_every_scalar_input_is_part_of_the_key():
     one, k = identity_transform(3), conjugation(3)
     assert invariance_margin(one, h).value == 0.0 < invariance_margin(k, h).value
     assert runner._commutant_margin(one, h) == 0.0 < runner._commutant_margin(k, h)
+    # one content, checked for Hermiticity and for unitarity
+    twice = 2.0 * np.eye(3, dtype=complex)
+    assert linalg._hermitian_deviation(twice) == 0.0 < linalg._unitary_deviation(twice)
 
 
 def cp_transform(seed: int) -> SymmetryTransform:
@@ -113,15 +163,12 @@ def cp_transform(seed: int) -> SymmetryTransform:
 
 
 def test_tables_stay_within_bounds_and_evict_the_oldest_first():
-    results = {name: [call(*make(seed)) for seed in range(20)] for name, (make, call) in CALLS.items()}
-    reversals = [runner._derived_reversal(cp_transform(seed), conjugation(2)) for seed in range(20)]
-    for memo in _MEMOS:
-        assert len(memo.table) == memo.size
-    for name, (make, call) in CALLS.items():
-        assert call(*make(19)) is results[name][19], name
-        assert call(*make(0)) is not results[name][0], name
-    assert runner._derived_reversal(cp_transform(19), conjugation(2)) is reversals[19]
-    assert runner._derived_reversal(cp_transform(0), conjugation(2)) is not reversals[0]
+    calls = {**CALLS, "derived_reversal": (lambda seed: (cp_transform(seed), conjugation(2)), runner._derived_reversal)}
+    # one table at a time, since some tables serve several calls
+    for name, (make, call) in calls.items():
+        results = [call(*make(seed)) for seed in range(20)]
+        assert call(*make(19)) is results[19], name
+        assert call(*make(0)) is not results[0], name
     for memo in _MEMOS:
         assert len(memo.table) == memo.size
 
@@ -222,11 +269,12 @@ def test_report_bytes_are_the_same_with_cold_and_warm_tables(seed):
 
 
 def test_oracle_never_reads_the_detector_tables():
-    assert len({id(m) for m in DETECTOR_MEMOS + ORACLE_MEMOS}) == 5
-    assert set(map(id, DETECTOR_MEMOS + ORACLE_MEMOS)) == set(map(id, _MEMOS))
+    tables = DETECTOR_MEMOS + ORACLE_MEMOS + CHECK_MEMOS
+    assert len({id(m) for m in tables}) == 9
+    assert set(map(id, tables)) == set(map(id, _MEMOS))
     scenario = repeating_scenario(3)
     report = run_scenario(scenario, scenario.effective_tolerances())
-    assert all(m.table for m in DETECTOR_MEMOS)
+    assert all(m.table for m in DETECTOR_MEMOS + CHECK_MEMOS)
     assert not any(m.table for m in ORACLE_MEMOS)
     detector_keys = [list(m.table) for m in DETECTOR_MEMOS]
     oracle_compare(scenario, report, scenario.effective_tolerances())
@@ -250,3 +298,115 @@ def test_derived_reversal_table_is_the_oracles_own_and_cold_memos_clears_it():
     assert all(reversal is not v for m in DETECTOR_MEMOS for v in m.table.values())
     clear_memos()
     assert not reversals.table
+
+
+def edge(holds, estimate: float) -> float:
+    """The smallest float near ``estimate`` at which ``holds`` turns true."""
+    g = estimate
+    for _ in range(64):
+        if holds(g):
+            break
+        g = float(np.nextafter(g, np.inf))
+    for _ in range(64):
+        below = float(np.nextafter(g, 0.0))
+        if not holds(below):
+            break
+        g = below
+    assert holds(g) and not holds(float(np.nextafter(g, 0.0)))
+    return g
+
+
+def table_scenario(seed: int) -> Scenario:
+    """wigner, kabir and scattering_curie requests against one generic, near-degenerate or Kramers H.
+
+    The wigner requests put ``gap_tol`` on both sides of the point where a
+    small gap joins its cluster, and of the point where it stops counting as
+    isolated.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 6
+    kind = ("generic", "near_degenerate", "kramers")[seed % 3]
+    v = random_unitary(dim, seed)
+    t = SymmetryTransform(np.kron(FLIP.unitary_part, np.eye(dim // 2)), antilinear=True, label="T")
+    if kind == "generic":
+        h = random_hermitian(dim, seed)
+        if seed % 2:
+            h = h.real.astype(complex)
+    elif kind == "near_degenerate":
+        levels = np.sort(rng.standard_normal(dim // 2))
+        split = 10.0 ** rng.uniform(-12.0, -6.0, size=dim // 2)
+        h = (v * np.concatenate([levels, levels + split])) @ v.conj().T
+        h = (h + h.conj().T) / 2.0
+    else:
+        h = symmetrize_invariant(random_hermitian(dim, seed), t)
+    tol = Tolerances()
+    values = herm_eig(h).eigenvalues
+    scale = max(1.0, float(values[-1] - values[0]))
+    ratio = tol.tau_violation / tol.tau_zero
+    gap_tols = [None]
+    gaps = np.diff(values)
+    for gap in np.sort(gaps[gaps > 0.0])[:3].tolist():
+        joins = edge(lambda g: gap <= g * scale, gap / scale)
+        shadowed = edge(lambda g: gap <= g * ratio * scale, gap / (ratio * scale))
+        gap_tols += [g for x in (joins, shadowed) for g in (x, float(np.nextafter(x, 0.0)))]
+    signs = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
+    r = SymmetryTransform((v * signs) @ v.conj().T, antilinear=False, label="R")
+    # a second involution with the same even and odd states
+    r2 = SymmetryTransform((v * np.roll(signs, 1)) @ v.conj().T, antilinear=False, label="R2")
+    states = {"even": v[:, 0].copy(), "odd": v[:, -1].copy()}
+    for k in range(3):
+        states[f"rand_{k}"] = normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    requests = []
+    for name in ("K", "T"):
+        requests += [Request("wigner", {"symmetry": name} | ({} if g is None else {"gap_tol": g})) for g in gap_tols]
+        requests += [
+            Request("kabir", {"symmetry": name, "state_in": a, "state_out": b})
+            for a, b in (("rand_0", "rand_1"), ("even", "rand_2"), ("odd", "odd"))
+        ]
+    requests += [
+        Request("scattering_curie", {"symmetry": name, "state_in": a, "state_out": b})
+        for name in ("R", "R2")
+        for a, b in (("even", "odd"), ("odd", "even"), ("even", "rand_0"))
+    ]
+    smatrix = mat_exp(h, -1j) if seed % 2 else random_unitary(dim, seed + 1)
+    return Scenario(
+        dim=dim,
+        matrices={"hamiltonian": h, "smatrix": smatrix},
+        symmetries={"K": conjugation(dim, label="K"), "T": t, "R": r, "R2": r2},
+        states=states,
+        requests=tuple(requests),
+    )
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10_000))
+def test_each_request_reads_from_warm_tables_what_a_cold_run_computes(seed):
+    scenario = table_scenario(seed)
+    tol = scenario.effective_tolerances()
+    clear_memos()
+    warm = run_scenario(scenario, tol)
+    warm = dataclasses.replace(warm, oracle=oracle_compare(scenario, warm, tol))
+    records, oracle = [], []
+    for request in scenario.requests:
+        clear_memos()
+        single = dataclasses.replace(scenario, requests=(request,))
+        report = run_scenario(single, tol)
+        records += report.records
+        oracle += oracle_compare(single, report, tol)
+    cold = dataclasses.replace(warm, records=tuple(records), oracle=tuple(oracle))
+    assert serialize_report(cold) == serialize_report(warm)
+
+
+def test_one_table_entry_per_operator_pair(monkeypatch):
+    scenario = table_scenario(0)
+    tol = scenario.effective_tolerances()
+    computed = []
+    displacement = wigner._displacement
+    monkeypatch.setattr(wigner, "_displacement", lambda t, vec: computed.append(t.label) or displacement(t, vec))
+    report = run_scenario(scenario, tol)
+    oracle_compare(scenario, report, tol)
+    # every eigenvector once against K and once against T, however many requests
+    assert sorted(computed) == ["K"] * scenario.dim + ["T"] * scenario.dim
+    assert len(wigner._RAYS.table) == 2
+    assert len(runner._ORACLE_S_DEFECTS.table) == 2
+    assert len(runner._ORACLE_S_COMMUTANTS.table) == 2

@@ -16,10 +16,13 @@ from tvd import (
     MisuseError,
     PremiseError,
     SymmetryTransform,
+    Tolerances,
     conjugation,
+    herm_eig,
     kaon_oscillation_model,
     kramers_degeneracy_verify,
     kramers_square,
+    random_hermitian,
     ray_displacement,
     spectrum_clusters,
     wigner_principle_check,
@@ -40,6 +43,28 @@ def test_spectrum_clusters_boundary_gap_joins():
     # gap exactly at gap_tol * max(1, range) still joins the cluster
     grouping = spectrum_clusters(np.array([0.0, 1e-8, 1.0]))
     assert grouping.multiplicities == (2, 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spectra spanning -1e308..1e308 overflow
+def test_spectrum_cluster_values_are_the_bits_of_np_mean():
+    rng = np.random.default_rng(3)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.0, 1.0 + 2.0**-52, 1e308, -1e308]
+    spectra = [np.array([-0.0]), np.array([-0.0, -0.0, 1.0]), np.array([-1.0, -0.0, 1.0])]
+    for n in range(1, 40):
+        spectra.append(np.sort(rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0)))
+        spectra.append(np.sort(rng.choice(specials, n)))
+        spectra.append(np.sort(np.round(rng.standard_normal(n), 1)))
+    for values in spectra:
+        for gap_tol in (1e-16, 1e-8, 0.05, 1.0):
+            for c in spectrum_clusters(values, gap_tol).clusters:
+                mean = float(np.mean(values[c.indices[0] : c.indices[-1] + 1]))
+                assert math.copysign(1.0, c.value) == math.copysign(1.0, mean)
+                assert c.value == mean or (math.isnan(c.value) and math.isnan(mean))
+
+
+def test_spectrum_clusters_split_at_a_nan_gap():
+    grouping = spectrum_clusters(np.array([0.0, np.nan, 0.0]))
+    assert grouping.multiplicities == (1, 1, 1)
 
 
 def test_spectrum_clusters_rejects_bad_input():
@@ -160,3 +185,18 @@ def test_kramers_verify_negative_control_flags_odd_cluster():
     assert report.failing_cluster is not None
     assert report.failing_cluster.multiplicity == 1
     assert "odd multiplicity" in report.reason
+
+
+def test_first_simple_level_off_the_unit_sphere_fails_first():
+    # tau_zero below the rounding of eigh's norms: level 2 is the first off the
+    # unit sphere, but it shares a cluster with level 1, so the first simple
+    # level to fail is level 4 (levels 3 and 5 fail too)
+    h = random_hermitian(6, seed=6)
+    tol = Tolerances(tau_zero=2e-16)
+    assert spectrum_clusters(herm_eig(h).eigenvalues, 0.1003).multiplicities == (1, 2, 1, 1, 1)
+    for _ in range(2):
+        with pytest.raises(PremiseError) as info:
+            wigner_principle_check(h, conjugation(6), gap_tol=0.1003, tol=tol)
+        assert str(info.value) == "state is not normalized (deviation 5.551e-16)"
+    # the rays this pair memoised do not change a verdict under the default tolerances
+    assert wigner_principle_check(h, conjugation(6), gap_tol=0.1003).reason == REASON_INDETERMINATE
