@@ -120,9 +120,7 @@ def _commutant_margin(g: SymmetryTransform, a: np.ndarray) -> float:
 def _s_commutant(r: SymmetryTransform, smat: np.ndarray) -> float:
     """``||RS - SR||_F / max(1, ||S||_F)`` for the unitary part R of r."""
     u = r.unitary_part
-    return _ORACLE_S_COMMUTANTS(
-        _content_key(u, smat), lambda: _norm(u @ smat - smat @ u) / max(1.0, _norm(smat))
-    )
+    return _ORACLE_S_COMMUTANTS(_content_key(u, smat), lambda: _norm(u @ smat - smat @ u) / max(1.0, _norm(smat)))
 
 
 def _reversal_defect(t: SymmetryTransform, smat: np.ndarray) -> float:

@@ -61,6 +61,11 @@ class Scenario:
     seed: int | None = None
     schema_version: int = SCHEMA_VERSION
 
+    def __post_init__(self) -> None:
+        # read-only like parsed arrays, so memo keys hold their buffers, not copies
+        for name in ("matrices", "states"):
+            object.__setattr__(self, name, {k: frozen(np.asarray(v)) for k, v in getattr(self, name).items()})
+
     def effective_tolerances(self, base: Tolerances | None = None) -> Tolerances:
         tol = base or Tolerances()
         if self.tolerance_overrides:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from tvd import (
     ClassificationError,
-    PremiseError,
     Request,
     Scenario,
     SymmetryTransform,
@@ -49,7 +48,8 @@ ORACLE_MEMOS = (
     runner._ORACLE_S_DEFECTS,
 )
 # the Hermitian and unitary input checks, which both sides run: building a
-# SymmetryTransform runs one, also for the reversal the oracle derives
+# SymmetryTransform runs one, also for the reversal the oracle derives; the
+# table decides only whether input is rejected, never a verdict or a truth
 CHECK_MEMOS = (_DEVIATIONS,)
 SWAP = SymmetryTransform(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), antilinear=False, label="R")
 FLIP = SymmetryTransform(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), antilinear=True, label="T")
@@ -351,7 +351,7 @@ def table_scenario(seed: int) -> Scenario:
         gap_tols += [g for x in (joins, shadowed) for g in (x, float(np.nextafter(x, 0.0)))]
     signs = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
     r = SymmetryTransform((v * signs) @ v.conj().T, antilinear=False, label="R")
-    # a second involution with the same even and odd states
+    # a second involution, for a second (R, S) pair
     r2 = SymmetryTransform((v * np.roll(signs, 1)) @ v.conj().T, antilinear=False, label="R2")
     states = {"even": v[:, 0].copy(), "odd": v[:, -1].copy()}
     for k in range(3):

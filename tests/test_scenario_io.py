@@ -565,14 +565,14 @@ def test_invalid_utf8_is_a_document_error():
         assert str(err.value).startswith("document: invalid UTF-8: 'utf-8' codec can't decode byte 0xff")
 
 
-# Parsed arrays are read-only views over immutable bytes, which memo keys reuse.
+# Parsed and built scenarios hold read-only views over immutable bytes, which memo keys reuse.
 
 
 def test_parsed_arrays_cannot_be_made_writable():
     compact = parse_scenario(FROZEN_SCENARIO_BYTES)
     nested = parse_scenario(json.dumps(json.loads(FROZEN_SCENARIO_BYTES)).encode())
-    built = small_scenario().symmetries["T"]
-    arrays = [built.unitary_part]
+    built = small_scenario()
+    arrays = [built.symmetries["T"].unitary_part, built.matrices["hamiltonian"], built.states["ground"]]
     for parsed in (compact, nested):
         arrays += [parsed.matrices["hamiltonian"], parsed.states["ground"], parsed.symmetries["T"].unitary_part]
     for arr in arrays:
@@ -584,7 +584,8 @@ def test_parsed_arrays_cannot_be_made_writable():
 
 def test_memo_key_of_a_parsed_matrix_holds_its_own_buffer():
     parsed = parse_scenario(FROZEN_SCENARIO_BYTES)
-    for arr in (parsed.matrices["hamiltonian"], parsed.symmetries["T"].unitary_part):
+    built = small_scenario().matrices["hamiltonian"]
+    for arr in (parsed.matrices["hamiltonian"], parsed.symmetries["T"].unitary_part, built):
         ((shape, dtype, content),) = _content_key(arr)
         assert content is arr.base
         assert (shape, dtype, content) == (arr.shape, arr.dtype.str, arr.tobytes())
