@@ -130,7 +130,7 @@ _RAYS = _Memo(4)
 
 
 def _eigenrays(arr: np.ndarray, t: SymmetryTransform, decomp: EigenDecomposition) -> tuple[tuple[float, float], ...]:
-    """``(norm deviation, ray displacement)`` of every eigenvector of ``arr`` under t.
+    """``(norm deviation, ray displacement)`` under t of every column of ``decomp = herm_eig(arr)``.
 
     Memoised by the content of ``arr``, t's unitary part and its antilinear
     flag, so all requests against one (H, T) pair share one table.

@@ -190,7 +190,7 @@ def test_kramers_verify_negative_control_flags_odd_cluster():
 def test_first_simple_level_off_the_unit_sphere_fails_first():
     # tau_zero below the rounding of eigh's norms: level 2 is the first off the
     # unit sphere, but it shares a cluster with level 1, so the first simple
-    # level to fail is level 4 (levels 3 and 5 fail too)
+    # level to fail is level 4 (level 5 would fail too)
     h = random_hermitian(6, seed=6)
     tol = Tolerances(tau_zero=2e-16)
     assert spectrum_clusters(herm_eig(h).eigenvalues, 0.1003).multiplicities == (1, 2, 1, 1, 1)
