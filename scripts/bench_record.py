@@ -15,18 +15,37 @@ records whether ``src/tvd/__pycache__`` existed when it started: under
 starts each CLI launch faster than one that compiles every time. Runs one
 after another, so nothing else should be running on the machine. Writes no
 file if any run fails its correctness gate.
+
+``perfbench/run.py`` reports ``peak_rss_mb`` through ``os.wait4`` from its
+own process, and a child it starts carries that process's high-water RSS
+until exec, so the metric is the larger of the benchmark process and the
+CLI. Beside it, each workload gets ``cli_peak_rss_mb``: the most of three
+``tvd check`` runs over the workload's files, each started from a bare
+``python -S`` helper, which is the CLI's own peak.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+KINDS = ((0, "end_to_end"), (1, "per_layer"))
+CLI_PEAK_RUNS = 3
+# started by a small process, the CLI's ru_maxrss is its own, not its parent's
+WAIT4_HELPER = (
+    "import os, sys; "
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ, "
+    "file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
 
 
 def git(*args: str) -> str:
@@ -52,6 +71,36 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     }
 
 
+def cli_peak_rss_mb(workload: str, seed: int) -> float:
+    """Peak RSS of ``tvd check`` over the workload's files, in MB, the most of ``CLI_PEAK_RUNS`` runs."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    try:
+        import workloads
+        from tvd import serialize_scenario
+
+        wl = workloads.generate(workload, seed)
+    finally:
+        del sys.path[:2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = dict(wl.shipped)
+        for stem, scenario in wl.generated.items():
+            paths[stem] = Path(tmp) / f"{stem}.json"
+            paths[stem].write_bytes(serialize_scenario(scenario))
+        args = ["check", "--jobs", str(workloads.JOBS), "--out", str(Path(tmp) / "out")]
+        for stem in sorted(paths):
+            args += ["--scenario", str(paths[stem])]
+        peaks = []
+        for _ in range(CLI_PEAK_RUNS):
+            proc = subprocess.run([sys.executable, "-S", "-c", WAIT4_HELPER, "-m", "tvd.cli", *args],
+                                  cwd=ROOT, env=env, capture_output=True, text=True)
+            # the helper prints the CLI's exit code and its ru_maxrss in KiB
+            if proc.returncode != 0 or not proc.stdout.startswith("0 "):
+                raise SystemExit(f"tvd check on {workload}: {proc.stdout.strip()}\n{proc.stderr}")
+            peaks.append(int(proc.stdout.split()[1]) / 1024.0)
+    return max(peaks)
+
+
 def next_path() -> Path:
     taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json") if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
     return ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
@@ -73,13 +122,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {}
-        for trace, kind in ((0, "end_to_end"), (1, "per_layer")):
+        for trace, kind in KINDS:
             print(f"{workload} --trace {trace} ...", file=sys.stderr, flush=True)
             runs[kind] = run_bench(workload, args.seed, benchmark["run_seconds"], trace)
+        print(f"{workload} cli peak ...", file=sys.stderr, flush=True)
+        runs["cli_peak_rss_mb"] = cli_peak_rss_mb(workload, args.seed)
         record["workloads"][workload] = runs
     record["machine"] = runs["end_to_end"]["info"]["machine"]
-    bad = [f"{w} {kind}: {run['info']['problems']}" for w, runs in record["workloads"].items()
-           for kind, run in runs.items() if not run["correct"] or run["failed"]]
+    bad = [f"{w} {kind}: {runs[kind]['info']['problems']}" for w, runs in record["workloads"].items()
+           for _, kind in KINDS if not runs[kind]["correct"] or runs[kind]["failed"]]
     if bad:
         print("not recorded, a run failed its correctness gate:\n" + "\n".join(bad), file=sys.stderr)
         return 1

@@ -42,11 +42,13 @@ def unitary_curie_check(
     _require_linear(r, "unitary_curie_check")
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
     psi_i = require_normalized(psi_initial, dim=arr.shape[0], tol=tol.tau_zero, name="psi_initial")
-    psi_f = mat_exp(arr, -1j * time) @ psi_i
+    overflow = f"final state at time {float(time):g} is not finite: the propagator exp(-itH) overflows"
+    try:
+        psi_f = mat_exp(arr, -1j * time) @ psi_i
+    except ClassificationError as exc:
+        raise ClassificationError(overflow) from exc
     if not np.all(np.isfinite(psi_f)):
-        raise ClassificationError(
-            f"final state at time {float(time):g} is not finite: the propagator exp(-itH) overflows"
-        )
+        raise ClassificationError(overflow)
 
     dev_initial = float(np.linalg.norm(apply(r, psi_i) - psi_i))
     dev_final = float(np.linalg.norm(apply(r, psi_f) - psi_f))

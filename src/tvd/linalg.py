@@ -144,6 +144,8 @@ def mat_exp(a: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     dim = m.shape[0]
     eye = np.eye(dim, dtype=complex)
     norm = float(np.linalg.norm(m, 1))
+    if not math.isfinite(norm):
+        raise ClassificationError("exp(scale * a) overflows: the 1-norm of scale * a is not finite")
     squarings = 0
     if norm > _PADE13_THETA:
         squarings = int(math.ceil(math.log2(norm / _PADE13_THETA)))

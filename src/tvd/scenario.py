@@ -12,6 +12,7 @@ numbers are two-element ``[re, im]`` arrays and reals are rendered with
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections.abc import Callable
@@ -90,7 +91,8 @@ def _format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _canonical(value: object, out: list[str]) -> None:
+def _canonical(value: object, out: list[str], buf: io.BytesIO) -> None:
+    """Render ``value`` canonically: scalar pieces collect in ``out``, arrays go to ``buf``."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -104,9 +106,9 @@ def _canonical(value: object, out: list[str]) -> None:
     elif isinstance(value, complex):
         out.append(f"[{_format_real(value.real)},{_format_real(value.imag)}]")
     elif isinstance(value, np.complexfloating):
-        _canonical(complex(value), out)
+        _canonical(complex(value), out, buf)
     elif isinstance(value, (np.floating, np.integer)):
-        _canonical(float(value), out)
+        _canonical(float(value), out, buf)
     elif isinstance(value, dict):
         out.append("{")
         for i, key in enumerate(sorted(value)):
@@ -116,35 +118,55 @@ def _canonical(value: object, out: list[str]) -> None:
                 out.append(",")
             out.append(json.dumps(key, ensure_ascii=True))
             out.append(":")
-            _canonical(value[key], out)
+            _canonical(value[key], out, buf)
         out.append("}")
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
             if i:
                 out.append(",")
-            _canonical(item, out)
+            _canonical(item, out, buf)
         out.append("]")
     elif isinstance(value, np.ndarray):
         if value.dtype == np.complex128 and value.ndim in (1, 2):
             # + 0.0 folds -0.0 into 0.0, which '%.17g' renders as "0" like _format_real
             pairs = (np.ascontiguousarray(value) + 0.0).view(np.float64)
             if np.isfinite(pairs).all():
-                fmt = "[" + ",".join(["[%.17g,%.17g]"] * value.shape[-1]) + "]"
-                if value.ndim == 2:
-                    fmt = "[" + ",".join([fmt] * value.shape[0]) + "]"
-                out.append(fmt % tuple(pairs.ravel().tolist()))
+                _write_rows(pairs, out, buf)
                 return
-        _canonical(value.tolist(), out)
+        _canonical(value.tolist(), out, buf)
     else:
         raise ScenarioError(f"cannot serialize value of type {type(value).__name__}")
 
 
+def _flush(out: list[str], buf: io.BytesIO) -> None:
+    buf.write("".join(out).encode("ascii"))
+    out.clear()
+
+
+def _write_rows(pairs: np.ndarray, out: list[str], buf: io.BytesIO) -> None:
+    """Write a finite complex array, given as its float view, one row at a time."""
+    _flush(out, buf)
+    row = "[" + ",".join(["[%.17g,%.17g]"] * (pairs.shape[-1] // 2)) + "]"
+    if pairs.ndim == 1:
+        buf.write((row % tuple(pairs.tolist())).encode("ascii"))
+        return
+    buf.write(b"[")
+    for i, entries in enumerate(pairs):
+        if i:
+            buf.write(b",")
+        buf.write((row % tuple(entries.tolist())).encode("ascii"))
+    buf.write(b"]")
+
+
 def canonical_dumps(value: object) -> bytes:
     out: list[str] = []
-    _canonical(value, out)
+    buf = io.BytesIO()
+    _canonical(value, out, buf)
     out.append("\n")
-    return "".join(out).encode("ascii")
+    _flush(out, buf)
+    # the buffer itself, trimmed to size, not a copy of it
+    return buf.getvalue()
 
 
 def _complex_pairs(a: np.ndarray) -> list:

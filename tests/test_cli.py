@@ -100,7 +100,7 @@ def test_non_finite_deciding_quantity_is_bad_input(tmp_path, capsysbinary, argv)
 
 
 # the same H overflows (H + H^dag) / 2 in the eigendecomposition, and the
-# Pade propagator exp(-itH)
+# Pade propagator exp(-itH) or the 1-norm of tH that sizes it
 OVERFLOWING_SPECTRUM = {
     "wigner": (
         {"detector": "wigner", "symmetry": "K"},
@@ -111,6 +111,12 @@ OVERFLOWING_SPECTRUM = {
         {"detector": "unitary_curie", "state": "up", "symmetry": "R", "time": 1.0},
         {"antilinear": False, "label": "R", "unitary_part": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
         b"error: requests[0]: final state at time 1 is not finite: the propagator exp(-itH) overflows\n",
+    ),
+    # at t = 2.5 the 1-norm of tH itself overflows, before any Pade step
+    "unitary_curie_norm": (
+        {"detector": "unitary_curie", "state": "up", "symmetry": "R", "time": 2.5},
+        {"antilinear": False, "label": "R", "unitary_part": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+        b"error: requests[0]: final state at time 2.5 is not finite: the propagator exp(-itH) overflows\n",
     ),
 }
 

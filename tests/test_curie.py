@@ -179,3 +179,13 @@ def test_overflowing_propagator_names_the_final_state():
     with pytest.raises(ClassificationError) as info:
         unitary_curie_check(h, swap, E0, 0.5)
     assert str(info.value) == "final state at time 0.5 is not finite: the propagator exp(-itH) overflows"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_propagator_whose_norm_overflows_names_the_final_state():
+    # at t = 2.5 the 1-norm of tH is already inf, before any Pade step
+    swap = SymmetryTransform(SIGMA_X, antilinear=False, label="R")
+    h = np.diag([1e308, -1e308]).astype(complex)
+    with pytest.raises(ClassificationError) as info:
+        unitary_curie_check(h, swap, E0, 2.5)
+    assert str(info.value) == "final state at time 2.5 is not finite: the propagator exp(-itH) overflows"

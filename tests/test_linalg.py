@@ -172,3 +172,14 @@ def test_an_overflowing_hermitian_part_has_no_spectrum():
         herm_eig(h)
     with pytest.raises(ClassificationError, match="oracle spectrum is not finite"):
         runner._spectrum(h)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [2.5, -2.5j, 1e308, complex("nan")], ids=["real", "imaginary", "huge", "nan"])
+def test_mat_exp_rejects_a_scaled_matrix_without_a_finite_norm(scale):
+    # the 1-norm of scale * a is inf (or nan), so no squaring count exists
+    a = np.diag([1e308, -1e308]).astype(complex)
+    with pytest.raises(ClassificationError) as info:
+        mat_exp(a, scale)
+    assert str(info.value) == "exp(scale * a) overflows: the 1-norm of scale * a is not finite"
+

@@ -22,7 +22,8 @@ from tvd import (
     shipped_scenario_paths,
 )
 import tvd.scenario
-from tvd.linalg import _content_key, frozen, herm_eig
+from tvd.linalg import _content_key, frozen, herm_eig, random_hermitian, random_unitary
+from tvd.scenario import _format_real
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -298,6 +299,83 @@ def test_canonical_array_non_finite_error_matches_per_entry_walk(bad):
     with pytest.raises(ScenarioError) as got:
         canonical_dumps(arr)
     assert str(got.value) == str(want.value)
+
+
+# The row writer against the per-entry rendering of ``value.tolist()``.
+
+ROW_REALS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+row_reals = st.one_of(
+    st.sampled_from(ROW_REALS),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def row_arrays(draw, min_side=0):
+    side = st.integers(min_side, 5)
+    shape = draw(st.one_of(st.tuples(side), st.tuples(side, side)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.builds(complex, row_reals, row_reals), min_size=size, max_size=size))
+    arr = np.array(values, dtype=np.complex128).reshape(shape)
+    return arr.T if draw(st.booleans()) else arr
+
+
+def _render_entries(raw: list | complex) -> str:
+    """Per-entry reference: each ``[re, im]`` pair through ``_format_real``."""
+    if isinstance(raw, complex):
+        return f"[{_format_real(raw.real)},{_format_real(raw.imag)}]"
+    return "[" + ",".join(map(_render_entries, raw)) + "]"
+
+
+@given(row_arrays())
+def test_streamed_array_bytes_equal_the_per_entry_rendering(arr):
+    want = _render_entries(arr.tolist())
+    assert canonical_dumps(arr) == f"{want}\n".encode("ascii")
+    # the scalar pieces before, between and after arrays keep their places
+    doc = {"a": [1, arr, "x"], "b": arr, "c": None}
+    assert canonical_dumps(doc) == f'{{"a":[1,{want},"x"],"b":{want},"c":null}}\n'.encode("ascii")
+
+
+@given(row_arrays(min_side=1), st.data())
+def test_streamed_array_with_a_non_finite_entry_raises_the_scalar_error(arr, data):
+    bad = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        index = tuple(data.draw(st.integers(0, n - 1)) for n in arr.shape)
+        entry = arr[index]
+        arr[index] = complex(bad, entry.imag) if data.draw(st.booleans()) else complex(entry.real, bad)
+    with pytest.raises(ScenarioError) as want:
+        _render_entries(arr.tolist())
+    with pytest.raises(ScenarioError) as got:
+        canonical_dumps({"m": arr})
+    assert str(got.value) == str(want.value)
+
+
+def test_serializing_a_dim_128_scenario_costs_about_its_own_size():
+    dim = 128
+    h = random_hermitian(dim, 11)
+    scenario = Scenario(
+        dim=dim,
+        matrices={"hamiltonian": h, "h0": np.diag(np.diag(h)), "smatrix": random_unitary(dim, 12)},
+        symmetries={
+            "R": SymmetryTransform(random_unitary(dim, 13), antilinear=False, label="R"),
+            "T": SymmetryTransform(np.eye(dim, dtype=complex), antilinear=True, label="T"),
+        },
+        states={"psi": random_unitary(dim, 14)[:, 0]},
+        requests=(
+            Request("wigner", {"symmetry": "T"}),
+            Request("kabir", {"symmetry": "T", "state_in": "psi", "state_out": "psi"}),
+        ),
+    )
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        data = serialize_scenario(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the document, the buffer's growth slack and one array's worth of copies
+    assert peak - before < 1.25 * len(data) + 10**6
 
 
 def _walk(raw: list) -> np.ndarray:

@@ -138,6 +138,13 @@ def test_time_reversal_consistency_requires_antilinear():
         time_reversal_consistency(identity_transform(2), SIGMA_Z, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_time_reversal_consistency_rejects_an_overflowing_propagator():
+    h = np.diag([1e308, -1e308]).astype(complex)
+    with pytest.raises(ClassificationError, match="exp\\(scale \\* a\\) overflows"):
+        time_reversal_consistency(conjugation(2), h, 2.5)
+
+
 def test_time_reversal_consistency_vanishes_iff_invariant():
     h = np.array([[1.0, 0.3], [0.3, -0.5]], dtype=complex)
     for t in (-2.0, 0.5, 3.7):
