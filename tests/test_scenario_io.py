@@ -273,22 +273,39 @@ def test_scenario_jsonable_is_plain_json_and_serializes_canonically():
 
 # Bit-exactness of the whole-array paths against the per-entry forms.
 
-EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**60, 0.1]
-reals = st.one_of(st.sampled_from(EDGE_REALS), st.floats(allow_nan=False, allow_infinity=False))
+EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+              1.0, -3.0, 2.0**60, 0.1]
+reals = st.one_of(
+    st.sampled_from(EDGE_REALS),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 complexes = st.builds(complex, reals, reals)
 
 
 @st.composite
-def complex_arrays(draw):
-    shape = draw(st.one_of(st.tuples(st.integers(1, 5)), st.tuples(st.integers(1, 4), st.integers(1, 4))))
+def complex_arrays(draw, min_side=0):
+    side = st.integers(min_side, 5)
+    shape = draw(st.one_of(st.tuples(side), st.tuples(side, side)))
     values = draw(st.lists(complexes, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
     arr = np.array(values, dtype=np.complex128).reshape(shape)
     return arr.T if draw(st.booleans()) else arr
 
 
+def _render_entries(raw: list | complex) -> str:
+    """Per-entry reference: each ``[re, im]`` pair through ``_format_real``."""
+    if isinstance(raw, complex):
+        return f"[{_format_real(raw.real)},{_format_real(raw.imag)}]"
+    return "[" + ",".join(map(_render_entries, raw)) + "]"
+
+
 @given(complex_arrays())
 def test_canonical_array_matches_per_entry_walk(arr):
-    assert canonical_dumps(arr) == canonical_dumps(arr.tolist())
+    want = _render_entries(arr.tolist())
+    assert canonical_dumps(arr) == canonical_dumps(arr.tolist()) == f"{want}\n".encode("ascii")
+    # the scalar pieces before, between and after streamed arrays keep their places
+    doc = {"a": [1, arr, "x"], "b": arr, "c": None}
+    assert canonical_dumps(doc) == f'{{"a":[1,{want},"x"],"b":{want},"c":null}}\n'.encode("ascii")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -301,43 +318,7 @@ def test_canonical_array_non_finite_error_matches_per_entry_walk(bad):
     assert str(got.value) == str(want.value)
 
 
-# The row writer against the per-entry rendering of ``value.tolist()``.
-
-ROW_REALS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
-row_reals = st.one_of(
-    st.sampled_from(ROW_REALS),
-    st.integers(-(2**60), 2**60).map(float),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-@st.composite
-def row_arrays(draw, min_side=0):
-    side = st.integers(min_side, 5)
-    shape = draw(st.one_of(st.tuples(side), st.tuples(side, side)))
-    size = int(np.prod(shape))
-    values = draw(st.lists(st.builds(complex, row_reals, row_reals), min_size=size, max_size=size))
-    arr = np.array(values, dtype=np.complex128).reshape(shape)
-    return arr.T if draw(st.booleans()) else arr
-
-
-def _render_entries(raw: list | complex) -> str:
-    """Per-entry reference: each ``[re, im]`` pair through ``_format_real``."""
-    if isinstance(raw, complex):
-        return f"[{_format_real(raw.real)},{_format_real(raw.imag)}]"
-    return "[" + ",".join(map(_render_entries, raw)) + "]"
-
-
-@given(row_arrays())
-def test_streamed_array_bytes_equal_the_per_entry_rendering(arr):
-    want = _render_entries(arr.tolist())
-    assert canonical_dumps(arr) == f"{want}\n".encode("ascii")
-    # the scalar pieces before, between and after arrays keep their places
-    doc = {"a": [1, arr, "x"], "b": arr, "c": None}
-    assert canonical_dumps(doc) == f'{{"a":[1,{want},"x"],"b":{want},"c":null}}\n'.encode("ascii")
-
-
-@given(row_arrays(min_side=1), st.data())
+@given(complex_arrays(min_side=1), st.data())
 def test_streamed_array_with_a_non_finite_entry_raises_the_scalar_error(arr, data):
     bad = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
     for _ in range(data.draw(st.integers(1, 3))):
