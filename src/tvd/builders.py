@@ -165,36 +165,34 @@ def _cpt_link() -> Scenario:
     )
 
 
-_SPECS: dict[str, dict[str, tuple[Callable[[object], object], object]]] = {
-    "kaon-decay": {"epsilon": (_to_float, 0.2)},
-    "kaon-oscillation": {
-        "m1": (_to_float, 0.5),
-        "m2": (_to_float, 0.7),
-        "w": (_to_complex, 1j),
-        "t": (_to_float, 1.0),
-    },
-    "edm": {
-        "j": (_to_float, 0.5),
-        "h0": (_to_float, 1.0),
-        "g": (_to_float, 1.0),
-        "e": (_to_triple, (0.0, 0.0, 1.0)),
-        "d": (_to_float, 0.1),
-    },
-    "t-symmetric-s": {"dim": (_to_int, 3), "seed": (_to_int, 7)},
-    "three-channel-loop": {},
-    "cpt-link": {},
+# model name -> (builder, {parameter: (parse, default)})
+_MODELS: dict[str, tuple[Callable[..., Scenario], dict[str, tuple[Callable[[object], object], object]]]] = {
+    "kaon-decay": (_kaon_decay, {"epsilon": (_to_float, 0.2)}),
+    "kaon-oscillation": (
+        _kaon_oscillation,
+        {
+            "m1": (_to_float, 0.5),
+            "m2": (_to_float, 0.7),
+            "w": (_to_complex, 1j),
+            "t": (_to_float, 1.0),
+        },
+    ),
+    "edm": (
+        _edm,
+        {
+            "j": (_to_float, 0.5),
+            "h0": (_to_float, 1.0),
+            "g": (_to_float, 1.0),
+            "e": (_to_triple, (0.0, 0.0, 1.0)),
+            "d": (_to_float, 0.1),
+        },
+    ),
+    "t-symmetric-s": (_t_symmetric_s, {"dim": (_to_int, 3), "seed": (_to_int, 7)}),
+    "three-channel-loop": (_three_channel_loop, {}),
+    "cpt-link": (_cpt_link, {}),
 }
 
-_BUILDERS: dict[str, Callable[..., Scenario]] = {
-    "kaon-decay": _kaon_decay,
-    "kaon-oscillation": _kaon_oscillation,
-    "edm": _edm,
-    "t-symmetric-s": _t_symmetric_s,
-    "three-channel-loop": _three_channel_loop,
-    "cpt-link": _cpt_link,
-}
-
-MODEL_NAMES = tuple(sorted(_SPECS))
+MODEL_NAMES = tuple(sorted(_MODELS))
 
 
 def shipped_scenario_paths() -> dict[str, Path]:
@@ -209,9 +207,9 @@ def shipped_scenario_paths() -> dict[str, Path]:
 
 def build_model_scenario(name: str, raw_params: dict[str, object] | None = None) -> Scenario:
     """Build one named scenario, applying defaults for missing parameters."""
-    if name not in _SPECS:
+    if name not in _MODELS:
         raise ParameterError(f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}")
-    spec = _SPECS[name]
+    builder, spec = _MODELS[name]
     raw = dict(raw_params or {})
     for key in raw:
         if key not in spec:
@@ -228,4 +226,4 @@ def build_model_scenario(name: str, raw_params: dict[str, object] | None = None)
                 raise ParameterError(f"bad value for parameter {key!r}: {raw[key]!r} ({exc})") from None
         else:
             params[key] = default
-    return _BUILDERS[name](**params)
+    return builder(**params)

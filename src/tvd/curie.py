@@ -49,6 +49,14 @@ def unitary_curie_check(
         raise ClassificationError(overflow) from exc
     if not np.all(np.isfinite(psi_f)):
         raise ClassificationError(overflow)
+    # at long times (t*||H|| from about 1e11) scaling and squaring stays finite
+    # but loses unitarity, collapsing to zero near 1e20: such a state proves nothing
+    norm_dev = abs(float(np.linalg.norm(psi_f)) - 1.0)
+    if norm_dev > tol.tau_violation:
+        raise ClassificationError(
+            f"final state at time {float(time):g} is not normalized (deviation {norm_dev:.3e}): "
+            "the propagator exp(-itH) is not unitary"
+        )
 
     dev_initial = float(np.linalg.norm(apply(r, psi_i) - psi_i))
     dev_final = float(np.linalg.norm(apply(r, psi_f) - psi_f))

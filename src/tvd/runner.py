@@ -8,6 +8,8 @@ in a detector cannot hide in its own cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .config import Tolerances
@@ -16,6 +18,7 @@ from .errors import ClassificationError, ScenarioError
 from .kabir import kabir_check
 from .linalg import _content_key, _Memo
 from .scenario import (
+    REFERENCES,
     OracleRecord,
     Provenance,
     Report,
@@ -34,35 +37,21 @@ from .verdict import NO_CONCLUSION, VIOLATION, Verdict
 from .wigner import wigner_principle_check
 
 
+def _resolve(scenario: Scenario, request: Request) -> tuple[tuple[_Run, _Oracle], dict[str, object]]:
+    """The request's (run, oracle) pair, and the scenario's matrices plus the
+    request's fields, each symmetry or state name replaced by what it names."""
+    entry = _RUN_ORACLE.get(request.detector)
+    if entry is None:
+        raise ScenarioError(f"unknown detector {request.detector!r}")
+    args: dict[str, object] = dict(scenario.matrices)
+    for name, value in request.params.items():
+        args[name] = getattr(scenario, REFERENCES[name])[value] if name in REFERENCES else value
+    return entry, args
+
+
 def run_request(scenario: Scenario, request: Request, tol: Tolerances) -> Verdict:
-    m = scenario.matrices
-    g = scenario.symmetries
-    s = scenario.states
-    p = request.params
-    if request.detector == "unitary_curie":
-        return unitary_curie_check(m["hamiltonian"], g[p["symmetry"]], s[p["state"]], p["time"], tol=tol)
-    if request.detector == "scattering_curie":
-        return scattering_curie_check(m["smatrix"], g[p["symmetry"]], s[p["state_in"]], s[p["state_out"]], tol=tol)
-    if request.detector == "s_matrix_inference":
-        r = g[p["symmetry"]]
-        return s_matrix_inference(
-            invariance_margin(r, m["h0"]),
-            invariance_margin(r, m["smatrix"]),
-            label=r.label,
-            tol=tol,
-        )
-    if request.detector == "kabir":
-        return kabir_check(m["smatrix"], g[p["symmetry"]], s[p["state_in"]], s[p["state_out"]], tol=tol)
-    if request.detector == "cpt_link":
-        return cpt_link_inference(
-            invariance_margin(g[p["cpt_symmetry"]], m["hamiltonian"]),
-            invariance_margin(g[p["cp_symmetry"]], m["hamiltonian"]),
-            tol=tol,
-        )
-    if request.detector == "wigner":
-        gap_tol = p.get("gap_tol")
-        return wigner_principle_check(m["hamiltonian"], g[p["symmetry"]], gap_tol=gap_tol, tol=tol)
-    raise ScenarioError(f"unknown detector {request.detector!r}")
+    (run, _), args = _resolve(scenario, request)
+    return run(args, tol)
 
 
 def run_scenario(
@@ -240,134 +229,156 @@ def _wigner_mandated(
     return False
 
 
+# Each oracle rule returns its truths and a note that is empty when the
+# detector's outcome agrees with them.
+
+
+def _unitary_curie_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
+    r, h, psi_i = a["symmetry"], a["hamiltonian"], a["state"]
+    truth = _commutant_margin(r, h)
+    # independent propagator: direct eigendecomposition instead of the
+    # detector's Pade exponential
+    values, vectors = _spectrum(h)
+    time = float(a["time"])
+    psi_f = vectors @ (np.exp(-1j * values * time) * (vectors.conj().T @ psi_i))
+    dev_i = _norm(_applied(r, psi_i) - psi_i)
+    dev_f = _norm(_applied(r, psi_f) - psi_f)
+    truths = {"commutant_margin": truth, "initial_deviation": dev_i, "final_deviation": dev_f}
+    if outcome == VIOLATION:
+        sound = truth > tol.tau_zero or _weak_breaking_moves(truth, h, dev_i, dev_f, time, tol)
+        return truths, "" if sound else "violation verdict but the symmetry commutes with H"
+    mandated = (_clearly_fixed(dev_i, tol) and _clearly_moved(dev_f, tol)) or (
+        _clearly_fixed(dev_f, tol) and _clearly_moved(dev_i, tol)
+    )
+    return truths, "no-conclusion verdict but a fixed state clearly moved" if mandated else ""
+
+
+def _scattering_curie_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
+    r, smat, v_in, v_out = a["symmetry"], a["smatrix"], a["state_in"], a["state_out"]
+    truth = _s_commutant(r, smat)
+    amplitude = abs(complex(np.vdot(v_out, smat @ v_in)))
+    truths = {"commutant_margin": truth, "cross_amplitude": amplitude}
+    if outcome == VIOLATION:
+        return truths, "" if truth > tol.tau_zero else "violation verdict but S commutes with the symmetry"
+
+    def parity(psi: np.ndarray) -> str:
+        if _clearly_fixed(_norm(_applied(r, psi) - psi), tol):
+            return "even"
+        if _clearly_fixed(_norm(_applied(r, psi) + psi), tol):
+            return "odd"
+        return "mixed"
+
+    opposite = {parity(v_in), parity(v_out)} == {"even", "odd"}
+    mandated = opposite and _clearly_moved(amplitude, tol)
+    return truths, "no-conclusion verdict but a cross-parity amplitude clearly survives" if mandated else ""
+
+
+def _s_matrix_inference_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
+    r = a["symmetry"]
+    h0_margin = _commutant_margin(r, a["h0"])
+    s_margin = _commutant_margin(r, a["smatrix"])
+    if h0_margin <= tol.tau_zero and s_margin > tol.tau_violation:
+        expected = VIOLATION
+    else:
+        expected = NO_CONCLUSION
+    truths = {"h0_margin": h0_margin, "smatrix_margin": s_margin}
+    if "v" in a:
+        truths["full_hamiltonian_margin"] = _commutant_margin(r, a["h0"] + a["v"])
+    return truths, "" if outcome == expected else f"rederived outcome {expected}, detector said {outcome}"
+
+
+def _kabir_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
+    t, smat, v_in, v_out = a["symmetry"], a["smatrix"], a["state_in"], a["state_out"]
+    reversal_defect = _reversal_defect(t, smat)
+    forward = complex(np.vdot(v_out, smat @ v_in))
+    backward = complex(np.vdot(_applied(t, v_in), smat @ _applied(t, v_out)))
+    asymmetry = abs(forward - backward)
+    truths = {"reversal_defect": reversal_defect, "amplitude_asymmetry": asymmetry}
+    if outcome == VIOLATION:
+        sound = reversal_defect > tol.tau_zero
+        return truths, "" if sound else "violation verdict but T conjugates S into its inverse"
+    mandated = _clearly_moved(asymmetry, tol)
+    return truths, "no-conclusion verdict but the amplitude pair clearly differs" if mandated else ""
+
+
+def _cpt_link_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
+    cpt, cp, h = a["cpt_symmetry"], a["cp_symmetry"], a["hamiltonian"]
+    cpt_margin = _commutant_margin(cpt, h)
+    cp_margin = _commutant_margin(cp, h)
+    # the reversal implied by the two inputs, checked directly
+    t_margin = _commutant_margin(_derived_reversal(cp, cpt), h)
+    truths = {"cpt_margin": cpt_margin, "cp_margin": cp_margin, "t_margin": t_margin}
+    if outcome == VIOLATION:
+        sound = cpt_margin <= tol.tau_zero and cp_margin > tol.tau_violation and t_margin > tol.tau_zero
+        return truths, "" if sound else "violation verdict but the derived reversal commutes with H"
+    mandated = (
+        _clearly_fixed(cpt_margin, tol)
+        and _clearly_moved(cp_margin, tol)
+        and _clearly_moved(t_margin, tol)
+    )
+    return truths, "no-conclusion verdict but CPT clearly holds while CP fails" if mandated else ""
+
+
+def _wigner_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
+    t, h = a["symmetry"], a["hamiltonian"]
+    truth = _commutant_margin(t, h)
+    effective_gap = tol.gap_tol if a.get("gap_tol") is None else float(a["gap_tol"])
+    values, vectors = _spectrum(h)
+    sizes = _greedy_clusters(values, effective_gap)
+    truths = {"commutant_margin": truth, "non_degenerate_levels": float(sizes.count(1))}
+    if outcome == VIOLATION:
+        sound = truth > tol.tau_zero and 1 in sizes
+        return truths, "" if sound else "violation verdict but T commutes with H or no simple level exists"
+    mandated = _wigner_mandated(t, values, vectors, sizes, effective_gap, tol)
+    return truths, "no-conclusion verdict but an isolated eigenray clearly moves" if mandated else ""
+
+
+_Run = Callable[[dict, Tolerances], Verdict]
+_Oracle = Callable[[dict, str, Tolerances], tuple[dict[str, float], str]]
+
+# detector name -> (run, oracle); the request schema is scenario.DETECTORS
+_RUN_ORACLE: dict[str, tuple[_Run, _Oracle]] = {
+    "unitary_curie": (
+        lambda a, tol: unitary_curie_check(a["hamiltonian"], a["symmetry"], a["state"], a["time"], tol=tol),
+        _unitary_curie_oracle,
+    ),
+    "scattering_curie": (
+        lambda a, tol: scattering_curie_check(a["smatrix"], a["symmetry"], a["state_in"], a["state_out"], tol=tol),
+        _scattering_curie_oracle,
+    ),
+    "s_matrix_inference": (
+        lambda a, tol: s_matrix_inference(
+            invariance_margin(a["symmetry"], a["h0"]),
+            invariance_margin(a["symmetry"], a["smatrix"]),
+            label=a["symmetry"].label,
+            tol=tol,
+        ),
+        _s_matrix_inference_oracle,
+    ),
+    "kabir": (
+        lambda a, tol: kabir_check(a["smatrix"], a["symmetry"], a["state_in"], a["state_out"], tol=tol),
+        _kabir_oracle,
+    ),
+    "cpt_link": (
+        lambda a, tol: cpt_link_inference(
+            invariance_margin(a["cpt_symmetry"], a["hamiltonian"]),
+            invariance_margin(a["cp_symmetry"], a["hamiltonian"]),
+            tol=tol,
+        ),
+        _cpt_link_oracle,
+    ),
+    "wigner": (
+        lambda a, tol: wigner_principle_check(a["hamiltonian"], a["symmetry"], gap_tol=a.get("gap_tol"), tol=tol),
+        _wigner_oracle,
+    ),
+}
+
+
 def oracle_record(scenario: Scenario, request: Request, verdict: Verdict, tol: Tolerances) -> OracleRecord:
     """Recompute ground truth for one request and compare outcomes."""
-    m = scenario.matrices
-    g = scenario.symmetries
-    p = request.params
-    detector = request.detector
-
-    if detector == "unitary_curie":
-        r = g[p["symmetry"]]
-        h = m["hamiltonian"]
-        truth = _commutant_margin(r, h)
-        # independent propagator: direct eigendecomposition instead of the
-        # detector's Pade exponential
-        values, vectors = _spectrum(h)
-        time = float(p["time"])
-        psi_i = scenario.states[p["state"]]
-        psi_f = vectors @ (np.exp(-1j * values * time) * (vectors.conj().T @ psi_i))
-        dev_i = _norm(_applied(r, psi_i) - psi_i)
-        dev_f = _norm(_applied(r, psi_f) - psi_f)
-        truths = {"commutant_margin": truth, "initial_deviation": dev_i, "final_deviation": dev_f}
-        if verdict.outcome == VIOLATION:
-            agreed = truth > tol.tau_zero or _weak_breaking_moves(truth, h, dev_i, dev_f, time, tol)
-            note = "" if agreed else "violation verdict but the symmetry commutes with H"
-        else:
-            mandated = (_clearly_fixed(dev_i, tol) and _clearly_moved(dev_f, tol)) or (
-                _clearly_fixed(dev_f, tol) and _clearly_moved(dev_i, tol)
-            )
-            agreed = not mandated
-            note = "" if agreed else "no-conclusion verdict but a fixed state clearly moved"
-        return OracleRecord(detector=detector, agreed=agreed, truths=truths, note=note)
-
-    if detector == "scattering_curie":
-        r = g[p["symmetry"]]
-        smat = m["smatrix"]
-        truth = _s_commutant(r, smat)
-        v_in = scenario.states[p["state_in"]]
-        v_out = scenario.states[p["state_out"]]
-        amplitude = abs(complex(np.vdot(v_out, smat @ v_in)))
-        truths = {"commutant_margin": truth, "cross_amplitude": amplitude}
-        if verdict.outcome == VIOLATION:
-            agreed = truth > tol.tau_zero
-            note = "" if agreed else "violation verdict but S commutes with the symmetry"
-        else:
-            def parity(psi: np.ndarray) -> str:
-                if _clearly_fixed(_norm(_applied(r, psi) - psi), tol):
-                    return "even"
-                if _clearly_fixed(_norm(_applied(r, psi) + psi), tol):
-                    return "odd"
-                return "mixed"
-
-            opposite = {parity(v_in), parity(v_out)} == {"even", "odd"}
-            mandated = opposite and _clearly_moved(amplitude, tol)
-            agreed = not mandated
-            note = "" if agreed else "no-conclusion verdict but a cross-parity amplitude clearly survives"
-        return OracleRecord(detector=detector, agreed=agreed, truths=truths, note=note)
-
-    if detector == "s_matrix_inference":
-        r = g[p["symmetry"]]
-        h0_margin = _commutant_margin(r, m["h0"])
-        s_margin = _commutant_margin(r, m["smatrix"])
-        if h0_margin <= tol.tau_zero and s_margin > tol.tau_violation:
-            expected = VIOLATION
-        else:
-            expected = NO_CONCLUSION
-        truths = {"h0_margin": h0_margin, "smatrix_margin": s_margin}
-        if "v" in m:
-            truths["full_hamiltonian_margin"] = _commutant_margin(r, m["h0"] + m["v"])
-        agreed = verdict.outcome == expected
-        note = "" if agreed else f"rederived outcome {expected}, detector said {verdict.outcome}"
-        return OracleRecord(detector=detector, agreed=agreed, truths=truths, note=note)
-
-    if detector == "kabir":
-        t = g[p["symmetry"]]
-        smat = m["smatrix"]
-        reversal_defect = _reversal_defect(t, smat)
-        v_in = scenario.states[p["state_in"]]
-        v_out = scenario.states[p["state_out"]]
-        forward = complex(np.vdot(v_out, smat @ v_in))
-        backward = complex(np.vdot(_applied(t, v_in), smat @ _applied(t, v_out)))
-        asymmetry = abs(forward - backward)
-        truths = {"reversal_defect": reversal_defect, "amplitude_asymmetry": asymmetry}
-        if verdict.outcome == VIOLATION:
-            agreed = reversal_defect > tol.tau_zero
-            note = "" if agreed else "violation verdict but T conjugates S into its inverse"
-        else:
-            agreed = not _clearly_moved(asymmetry, tol)
-            note = "" if agreed else "no-conclusion verdict but the amplitude pair clearly differs"
-        return OracleRecord(detector=detector, agreed=agreed, truths=truths, note=note)
-
-    if detector == "cpt_link":
-        cpt = g[p["cpt_symmetry"]]
-        cp = g[p["cp_symmetry"]]
-        h = m["hamiltonian"]
-        cpt_margin = _commutant_margin(cpt, h)
-        cp_margin = _commutant_margin(cp, h)
-        # the reversal implied by the two inputs, checked directly
-        t_margin = _commutant_margin(_derived_reversal(cp, cpt), h)
-        truths = {"cpt_margin": cpt_margin, "cp_margin": cp_margin, "t_margin": t_margin}
-        if verdict.outcome == VIOLATION:
-            agreed = cpt_margin <= tol.tau_zero and cp_margin > tol.tau_violation and t_margin > tol.tau_zero
-            note = "" if agreed else "violation verdict but the derived reversal commutes with H"
-        else:
-            mandated = (
-                _clearly_fixed(cpt_margin, tol)
-                and _clearly_moved(cp_margin, tol)
-                and _clearly_moved(t_margin, tol)
-            )
-            agreed = not mandated
-            note = "" if agreed else "no-conclusion verdict but CPT clearly holds while CP fails"
-        return OracleRecord(detector=detector, agreed=agreed, truths=truths, note=note)
-
-    if detector == "wigner":
-        t = g[p["symmetry"]]
-        h = m["hamiltonian"]
-        truth = _commutant_margin(t, h)
-        effective_gap = tol.gap_tol if p.get("gap_tol") is None else float(p["gap_tol"])
-        values, vectors = _spectrum(h)
-        sizes = _greedy_clusters(values, effective_gap)
-        truths = {"commutant_margin": truth, "non_degenerate_levels": float(sizes.count(1))}
-        if verdict.outcome == VIOLATION:
-            agreed = truth > tol.tau_zero and 1 in sizes
-            note = "" if agreed else "violation verdict but T commutes with H or no simple level exists"
-        else:
-            agreed = not _wigner_mandated(t, values, vectors, sizes, effective_gap, tol)
-            note = "" if agreed else "no-conclusion verdict but an isolated eigenray clearly moves"
-        return OracleRecord(detector=detector, agreed=agreed, truths=truths, note=note)
-
-    raise ScenarioError(f"unknown detector {detector!r}")
+    (_, oracle), args = _resolve(scenario, request)
+    truths, note = oracle(args, verdict.outcome, tol)
+    return OracleRecord(detector=request.detector, agreed=not note, truths=truths, note=note)
 
 
 def oracle_compare(scenario: Scenario, report: Report, tolerances: Tolerances | None = None) -> tuple[OracleRecord, ...]:

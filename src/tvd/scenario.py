@@ -33,16 +33,21 @@ SCHEMA_VERSION = 1
 
 MATRIX_NAMES = ("hamiltonian", "h0", "v", "smatrix")
 
-# detector name -> (required request fields, required matrices)
-DETECTORS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "unitary_curie": (("symmetry", "state", "time"), ("hamiltonian",)),
-    "scattering_curie": (("symmetry", "state_in", "state_out"), ("smatrix",)),
-    "s_matrix_inference": (("symmetry",), ("h0", "smatrix")),
-    "kabir": (("symmetry", "state_in", "state_out"), ("smatrix",)),
-    "cpt_link": (("cpt_symmetry", "cp_symmetry"), ("hamiltonian",)),
-    "wigner": (("symmetry",), ("hamiltonian",)),
+# detector name -> (required request fields, optional request fields, required matrices)
+DETECTORS: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
+    "unitary_curie": (("symmetry", "state", "time"), (), ("hamiltonian",)),
+    "scattering_curie": (("symmetry", "state_in", "state_out"), (), ("smatrix",)),
+    "s_matrix_inference": (("symmetry",), (), ("h0", "smatrix")),
+    "kabir": (("symmetry", "state_in", "state_out"), (), ("smatrix",)),
+    "cpt_link": (("cpt_symmetry", "cp_symmetry"), (), ("hamiltonian",)),
+    "wigner": (("symmetry",), ("gap_tol",), ("hamiltonian",)),
 }
-_OPTIONAL_FIELDS: dict[str, tuple[str, ...]] = {"wigner": ("gap_tol",)}
+
+# request field -> the Scenario table whose entry it names; every other field is a number
+REFERENCES: dict[str, str] = {
+    **dict.fromkeys(("symmetry", "cpt_symmetry", "cp_symmetry"), "symmetries"),
+    **dict.fromkeys(("state", "state_in", "state_out"), "states"),
+}
 
 
 @dataclass(frozen=True)
@@ -467,32 +472,29 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
     raw_requests = doc["requests"]
     _expect(isinstance(raw_requests, list), "requests must be a list", "requests")
     requests: list[Request] = []
+    tables = {"symmetries": ("symmetry", symmetries), "states": ("state", states)}
     for i, item in enumerate(raw_requests):
         path = f"requests[{i}]"
         _expect(isinstance(item, dict), "each request must be an object", path)
         _expect("detector" in item, "missing field 'detector'", path)
         detector = item["detector"]
         _expect(detector in DETECTORS, f"unknown detector {detector!r}", f"{path}.detector")
-        required_fields, required_matrices = DETECTORS[detector]
-        optional = _OPTIONAL_FIELDS.get(detector, ())
-        _reject_unknown(item, ("detector",) + required_fields + optional, path)
+        required_fields, optional_fields, required_matrices = DETECTORS[detector]
+        _reject_unknown(item, ("detector",) + required_fields + optional_fields, path)
         params: dict[str, object] = {}
         for req_field in required_fields:
             _expect(req_field in item, f"missing field {req_field!r}", path)
-        for name in required_fields + optional:
+        for name in required_fields + optional_fields:
             if name not in item:
                 continue
-            value = item[name]
-            if name in ("symmetry", "cpt_symmetry", "cp_symmetry"):
-                _expect(isinstance(value, str), "symmetry reference must be a string", f"{path}.{name}")
-                _expect(value in symmetries, f"unknown symmetry {value!r}", f"{path}.{name}")
-            elif name in ("state", "state_in", "state_out"):
-                _expect(isinstance(value, str), "state reference must be a string", f"{path}.{name}")
-                _expect(value in states, f"unknown state {value!r}", f"{path}.{name}")
-            elif name == "time":
-                value = _parse_number(value, f"{path}.time")
-            elif name == "gap_tol":
-                value = _parse_number(value, f"{path}.gap_tol", positive=True)
+            value, field_path = item[name], f"{path}.{name}"
+            if name in REFERENCES:
+                noun, table = tables[REFERENCES[name]]
+                _expect(isinstance(value, str), f"{noun} reference must be a string", field_path)
+                _expect(value in table, f"unknown {noun} {value!r}", field_path)
+            else:
+                # a time may be any finite number, a gap tolerance only a positive one
+                value = _parse_number(value, field_path, positive=name == "gap_tol")
             params[name] = value
         for name in required_matrices:
             _expect(name in matrices, f"detector {detector!r} needs matrix {name!r}", path)
@@ -581,18 +583,6 @@ class Report:
     schema_version: int = SCHEMA_VERSION
 
 
-def _witness_jsonable(witness: dict) -> dict:
-    out: dict[str, object] = {}
-    for key, value in witness.items():
-        if isinstance(value, complex):
-            out[key] = value
-        elif isinstance(value, (list, tuple)):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
-
-
 def report_jsonable(report: Report) -> dict:
     doc: dict[str, object] = {
         "schema_version": report.schema_version,
@@ -604,7 +594,7 @@ def report_jsonable(report: Report) -> dict:
                 "violated_symmetry": rec.verdict.violated_symmetry,
                 "margin": rec.verdict.margin,
                 "reason": rec.verdict.reason,
-                "witness": _witness_jsonable(dict(rec.verdict.witness)),
+                "witness": dict(rec.verdict.witness),
             }
             for i, rec in enumerate(report.records)
         ],

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -137,6 +138,42 @@ def test_overflowing_hamiltonian_is_bad_input(tmp_path, capsysbinary, argv, dete
     target = tmp_path / "overflow.json"
     target.write_text(json.dumps(doc))
     assert run_cli(capsysbinary, *argv, "--scenario", str(target)) == (2, b"", err)
+
+
+# H = [[1, 0.5], [0.5, 1]] commutes with the swap R, yet at t = 1e18 the Pade
+# propagator amplifies rounding far past unit norm (by how much depends on
+# the BLAS kernels) and at t = 1e20 it collapses to the zero matrix, which
+# would read as a Violation with final_deviation 0
+COLLAPSING_PROPAGATOR = {
+    "dim": 2,
+    "matrices": {"hamiltonian": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]},
+    "schema_version": 1,
+    "states": {"up": [[1, 0], [0, 0]]},
+    "symmetries": [{"antilinear": False, "label": "R", "unitary_part": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}],
+}
+NOT_UNITARY = (
+    rb"error: requests\[0\]: final state at time %s is not normalized \(deviation %s\): "
+    rb"the propagator exp\(-itH\) is not unitary\n"
+)
+
+
+@pytest.mark.parametrize(
+    "time, err",
+    [
+        (1e18, NOT_UNITARY % (rb"1e\+18", rb"\d\.\d{3}e\+\d\d")),
+        (1e20, NOT_UNITARY % (rb"1e\+20", rb"1\.000e\+00")),
+    ],
+    ids=["1e18", "1e20"],
+)
+@pytest.mark.parametrize("argv", [["check"], ["oracle", "--format", "text"]], ids=["check", "oracle"])
+def test_propagator_that_loses_the_norm_is_bad_input(tmp_path, capsysbinary, argv, time, err):
+    request = {"detector": "unitary_curie", "state": "up", "symmetry": "R", "time": time}
+    doc = dict(COLLAPSING_PROPAGATOR, requests=[request])
+    target = tmp_path / "collapse.json"
+    target.write_text(json.dumps(doc))
+    code, out, got = run_cli(capsysbinary, *argv, "--scenario", str(target))
+    assert (code, out) == (2, b"")
+    assert re.fullmatch(err, got), got
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -16,6 +16,7 @@ from tvd import (
     MisuseError,
     PremiseError,
     SymmetryTransform,
+    Tolerances,
     conjugation,
     invariance_margin,
     kaon_decay_scattering_model,
@@ -189,3 +190,16 @@ def test_propagator_whose_norm_overflows_names_the_final_state():
     with pytest.raises(ClassificationError) as info:
         unitary_curie_check(h, swap, E0, 2.5)
     assert str(info.value) == "final state at time 2.5 is not finite: the propagator exp(-itH) overflows"
+
+
+def test_propagator_that_loses_the_norm_is_rejected_above_tau_violation():
+    # H commutes with the swap, so exp(-itH) keeps the state's norm; at
+    # t = 1e12 scaling and squaring lets it drift by about 4e-5
+    swap = SymmetryTransform(SIGMA_X, antilinear=False, label="R")
+    h = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+    with pytest.raises(ClassificationError) as info:
+        unitary_curie_check(h, swap, E0, 1e12)
+    assert str(info.value).startswith("final state at time 1e+12 is not normalized (deviation ")
+    assert str(info.value).endswith("): the propagator exp(-itH) is not unitary")
+    verdict = unitary_curie_check(h, swap, E0, 1e12, tol=Tolerances(tau_violation=1e-3))
+    assert verdict.outcome == NO_CONCLUSION

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from tvd import (
     DEFAULT_TOLERANCES,
     VIOLATION,
+    Provenance,
     Report,
     Request,
     Scenario,
+    ScenarioError,
     SymmetryTransform,
     Verdict,
     VerdictRecord,
@@ -26,10 +28,18 @@ from tvd import (
     run_scenario,
     serialize_scenario,
 )
-from tvd import runner
+from tvd import runner, scenario as schema
 from tvd.cli import main
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# real symmetric and swap-symmetric, so S = exp(-iG) commutes with the swap
+# and is symmetric, which is what T = K asks of a reversal-invariant S
+G = np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex)
+S_EXACT = mat_exp(G, -1j)
+EVEN_ODD = {
+    "even": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "odd": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
+}
 
 
 def weak_curie_scenario(h: np.ndarray, time: float) -> Scenario:
@@ -168,8 +178,38 @@ def test_cpt_link_band_edge_violations_always_agree(seed):
             },
             requests=(Request("cpt_link", {"cpt_symmetry": "CPT", "cp_symmetry": "CP"}),),
         ),
+        # S commutes with the swap exactly
+        Scenario(
+            dim=2,
+            matrices={"smatrix": S_EXACT},
+            symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+            states=EVEN_ODD,
+            requests=(Request("scattering_curie", {"symmetry": "R", "state_in": "even", "state_out": "odd"}),),
+        ),
+        # H0 and S both commute with the swap exactly
+        Scenario(
+            dim=2,
+            matrices={"h0": G, "smatrix": S_EXACT},
+            symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+            requests=(Request("s_matrix_inference", {"symmetry": "R"}),),
+        ),
+        # symmetric S: K sends it to its inverse
+        Scenario(
+            dim=2,
+            matrices={"smatrix": S_EXACT},
+            symmetries={"T": conjugation(2, label="T")},
+            states=EVEN_ODD,
+            requests=(Request("kabir", {"symmetry": "T", "state_in": "even", "state_out": "odd"}),),
+        ),
+        # real H commutes with K
+        Scenario(
+            dim=2,
+            matrices={"hamiltonian": np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)},
+            symmetries={"T": conjugation(2, label="T")},
+            requests=(Request("wigner", {"symmetry": "T"}),),
+        ),
     ],
-    ids=["unitary_curie", "cpt_link"],
+    ids=["unitary_curie", "cpt_link", "scattering_curie", "s_matrix_inference", "kabir", "wigner"],
 )
 def test_forged_violation_against_a_commuting_symmetry_is_flagged(scenario):
     assert not forged_violation(scenario).agreed
@@ -209,3 +249,29 @@ def test_forged_violation_against_a_rounding_level_commutant_is_flagged(seed):
     # the oracle's own propagation shows a move that the long time would cover
     assert abs(record.truths["final_deviation"] - record.truths["initial_deviation"]) > DEFAULT_TOLERANCES.tau_zero
     assert not record.agreed
+
+
+def test_runner_table_and_request_schema_name_the_same_detectors():
+    assert list(runner._RUN_ORACLE) == list(schema.DETECTORS)
+    fields = {name for required, optional, _ in schema.DETECTORS.values() for name in required + optional}
+    # every request field names a symmetry or a state, or is a number
+    assert fields - set(schema.REFERENCES) == {"time", "gap_tol"}
+
+
+UNKNOWN = Scenario(dim=1, requests=(Request("nope", {}),))
+
+
+def test_run_scenario_rejects_an_unknown_detector_built_in_process():
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(UNKNOWN, DEFAULT_TOLERANCES)
+    assert str(err.value) == "unknown detector 'nope'"
+
+
+def test_oracle_compare_rejects_an_unknown_detector_built_in_process():
+    report = Report(
+        records=(VerdictRecord("nope", Verdict.violation("T", margin=1.0, witness={"forged": True})),),
+        provenance=Provenance(tolerances=DEFAULT_TOLERANCES, seed=None),
+    )
+    with pytest.raises(ScenarioError) as err:
+        oracle_compare(UNKNOWN, report, DEFAULT_TOLERANCES)
+    assert str(err.value) == "unknown detector 'nope'"

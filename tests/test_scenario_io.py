@@ -82,7 +82,7 @@ def test_rejects_unknown_state_reference():
     data = corrupt(lambda d: d["requests"].append({"detector": "unitary_curie", "symmetry": "T", "state": "psi9", "time": 1.0}))
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
-    assert "psi9" in str(err.value)
+    assert str(err.value) == "requests[1].state: unknown state 'psi9'"
 
 
 def test_rejects_non_unitary_symmetry():
@@ -118,7 +118,41 @@ def test_rejects_unknown_detector():
     data = corrupt(lambda d: d["requests"].__setitem__(0, {"detector": "psychic"}))
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
-    assert "psychic" in str(err.value)
+    assert str(err.value) == "requests[0].detector: unknown detector 'psychic'"
+
+
+@pytest.mark.parametrize(
+    "request_doc, message",
+    [
+        ({"detector": "wigner", "symmetry": 3}, "requests[0].symmetry: symmetry reference must be a string"),
+        (
+            {"detector": "cpt_link", "cpt_symmetry": "T", "cp_symmetry": "CP"},
+            "requests[0].cp_symmetry: unknown symmetry 'CP'",
+        ),
+        (
+            {"detector": "kabir", "symmetry": "T", "state_in": ["ground"], "state_out": "ground"},
+            "requests[0].state_in: state reference must be a string",
+        ),
+        (
+            {"detector": "unitary_curie", "symmetry": "T", "state": "ground", "time": "1"},
+            "requests[0].time: expected a finite number",
+        ),
+        ({"detector": "wigner", "symmetry": "T", "gap_tol": 0}, "requests[0].gap_tol: expected a positive number"),
+        ({"detector": "wigner", "symmetry": "T", "time": 1.0}, "requests[0]: unknown field 'time'"),
+        ({"detector": "cpt_link", "cpt_symmetry": "T"}, "requests[0]: missing field 'cp_symmetry'"),
+    ],
+)
+def test_request_field_errors_name_the_field(request_doc, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(corrupt(lambda d: d["requests"].__setitem__(0, request_doc)))
+    assert str(err.value) == message
+
+
+def test_request_fields_keep_names_and_read_numbers_as_floats():
+    request_doc = {"detector": "unitary_curie", "symmetry": "T", "state": "ground", "time": -2}
+    (request,) = parse_scenario(corrupt(lambda d: d["requests"].__setitem__(0, request_doc))).requests
+    assert request.params == {"symmetry": "T", "state": "ground", "time": -2.0}
+    assert type(request.params["time"]) is float
 
 
 def test_rejects_request_without_required_matrix():
