@@ -45,8 +45,6 @@ from .linalg import (
     dagger,
     frobenius_norm,
     herm_eig,
-    is_hermitian,
-    is_unitary,
     mat_exp,
     normalize,
     random_hermitian,
@@ -84,10 +82,9 @@ from .scenario import (
     serialize_report,
     serialize_scenario,
 )
-from .selftest import SUITES, SuiteResult, run_all
+from .selftest import SUITES, SuiteResult
 from .symmetry import (
     COMMUTANT,
-    TIME_REVERSAL_SMATRIX,
     TIME_REVERSAL_UNITARY,
     InvarianceMargin,
     SymmetryTransform,
@@ -96,10 +93,8 @@ from .symmetry import (
     conjugate_operator,
     conjugation,
     cpt_link_inference,
-    identity_transform,
     invariance_margin,
     inverse,
-    smatrix_reversal_margin,
     time_reversal_consistency,
 )
 from .verdict import (
@@ -164,7 +159,6 @@ __all__ = [
     "SpinAlgebra",
     "SuiteResult",
     "SymmetryTransform",
-    "TIME_REVERSAL_SMATRIX",
     "TIME_REVERSAL_UNITARY",
     "TSquareClass",
     "Tolerances",
@@ -186,11 +180,8 @@ __all__ = [
     "edm_model",
     "frobenius_norm",
     "herm_eig",
-    "identity_transform",
     "invariance_margin",
     "inverse",
-    "is_hermitian",
-    "is_unitary",
     "kabir_check",
     "kaon_decay_scattering_model",
     "kaon_oscillation_model",
@@ -208,14 +199,12 @@ __all__ = [
     "report_jsonable",
     "run_request",
     "run_scenario",
-    "run_all",
     "s_matrix_inference",
     "scattering_curie_check",
     "scenario_jsonable",
     "serialize_report",
     "serialize_scenario",
     "shipped_scenario_paths",
-    "smatrix_reversal_margin",
     "spectrum_clusters",
     "spin_operators",
     "symmetrize_invariant",

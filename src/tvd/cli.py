@@ -45,17 +45,6 @@ class RunConfig:
     tolerance_overrides: dict[str, float] = dataclasses.field(default_factory=dict)
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.format not in ("json", "text"):
-            raise ConfigError(f"format must be 'json' or 'text', got {self.format!r}")
-        for key, value in self.tolerance_overrides.items():
-            if not (isinstance(value, float) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"tolerance override {key} must be a positive finite number, got {value!r}")
-        zero = self.tolerance_overrides.get("tau_zero")
-        violation = self.tolerance_overrides.get("tau_violation")
-        if zero is not None and violation is not None and zero >= violation:
-            raise ConfigError(f"tau_zero ({zero!r}) must be below tau_violation ({violation!r})")
-
 
 def _env_positive_float(name: str) -> float | None:
     raw = os.environ.get(name)

@@ -10,6 +10,7 @@ produce a Violation verdict.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -25,8 +26,9 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("tau_zero", "tau_violation", "tau_eig", "gap_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0.0):
-                raise ConfigError(f"{name} must be a positive number, got {value!r}")
+            # a bool is an int, and an infinite tau_violation could never be reached
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
         if self.tau_zero >= self.tau_violation:
             raise ConfigError(
                 f"tau_zero ({self.tau_zero}) must be below tau_violation "

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ClassificationError, MisuseError
-from .linalg import as_state_vector, mat_exp, require_hermitian, require_normalized, require_unitary
+from .linalg import as_state_vector, mat_exp, norm_deviation, require_hermitian, require_normalized, require_unitary
 from .symmetry import InvarianceMargin, SymmetryTransform, apply, commutant_inference
 from .verdict import REASON_BELOW_THRESHOLD, REASON_PREMISE_UNMET, Verdict, classify
 
@@ -51,7 +51,7 @@ def unitary_curie_check(
         raise ClassificationError(overflow)
     # at long times (t*||H|| from about 1e11) scaling and squaring stays finite
     # but loses unitarity, collapsing to zero near 1e20: such a state proves nothing
-    norm_dev = abs(float(np.linalg.norm(psi_f)) - 1.0)
+    norm_dev = norm_deviation(psi_f)
     if norm_dev > tol.tau_violation:
         raise ClassificationError(
             f"final state at time {float(time):g} is not normalized (deviation {norm_dev:.3e}): "

@@ -66,14 +66,6 @@ def _unitary_deviation(arr: np.ndarray) -> float:
     return _DEVIATIONS(_content_key("unitary", arr), lambda: frobenius_norm(dagger(arr) @ arr - np.eye(len(arr))))
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero) -> bool:
-    return _hermitian_deviation(as_square_matrix(a)) <= tol
-
-
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero) -> bool:
-    return _unitary_deviation(as_square_matrix(a)) <= tol
-
-
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "matrix") -> np.ndarray:
     arr = as_square_matrix(a, name)
     dev = _hermitian_deviation(arr)

@@ -37,15 +37,24 @@ from .verdict import NO_CONCLUSION, VIOLATION, Verdict
 from .wigner import wigner_principle_check
 
 
-def _resolve(scenario: Scenario, request: Request) -> tuple[tuple[_Run, _Oracle], dict[str, object]]:
+def _resolve(scenario: Scenario, request: Request, path: str = "") -> tuple[tuple[_Run, _Oracle], dict[str, object]]:
     """The request's (run, oracle) pair, and the scenario's matrices plus the
-    request's fields, each symmetry or state name replaced by what it names."""
+    request's fields, each symmetry or state name replaced by what it names.
+
+    A name the scenario lacks raises the parser's message under ``path``.
+    """
     entry = _RUN_ORACLE.get(request.detector)
     if entry is None:
         raise ScenarioError(f"unknown detector {request.detector!r}")
     args: dict[str, object] = dict(scenario.matrices)
     for name, value in request.params.items():
-        args[name] = getattr(scenario, REFERENCES[name])[value] if name in REFERENCES else value
+        if name in REFERENCES:
+            table, noun = REFERENCES[name]
+            named = getattr(scenario, table)
+            if value not in named:
+                raise ScenarioError(f"unknown {noun} {value!r}", path)
+            value = named[value]
+        args[name] = value
     return entry, args
 
 
@@ -62,12 +71,14 @@ def run_scenario(
     tol = tolerances if tolerances is not None else scenario.effective_tolerances()
     records = []
     for i, request in enumerate(scenario.requests):
+        path = f"requests[{i}]"
         try:
-            verdict = run_request(scenario, request, tol)
+            (run, _), args = _resolve(scenario, request, path)
+            verdict = run(args, tol)
         except ScenarioError:
             raise
         except Exception as exc:
-            raise ScenarioError(str(exc), f"requests[{i}]") from exc
+            raise ScenarioError(str(exc), path) from exc
         records.append(VerdictRecord(detector=request.detector, verdict=verdict))
     effective_seed = seed if seed is not None else scenario.seed
     return Report(

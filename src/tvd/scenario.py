@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__ as _tool_version
 from .config import Tolerances
 from .errors import ScenarioError
-from .linalg import frozen
+from .linalg import frozen, norm_deviation
 from .symmetry import SymmetryTransform
 from .verdict import Verdict
 
@@ -43,10 +43,11 @@ DETECTORS: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] =
     "wigner": (("symmetry",), ("gap_tol",), ("hamiltonian",)),
 }
 
-# request field -> the Scenario table whose entry it names; every other field is a number
-REFERENCES: dict[str, str] = {
-    **dict.fromkeys(("symmetry", "cpt_symmetry", "cp_symmetry"), "symmetries"),
-    **dict.fromkeys(("state", "state_in", "state_out"), "states"),
+# request field -> (the Scenario table whose entry it names, that entry's noun);
+# every other field is a number
+REFERENCES: dict[str, tuple[str, str]] = {
+    **dict.fromkeys(("symmetry", "cpt_symmetry", "cp_symmetry"), ("symmetries", "symmetry")),
+    **dict.fromkeys(("state", "state_in", "state_out"), ("states", "state")),
 }
 
 
@@ -464,7 +465,7 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
         for name in raw:
             _expect(isinstance(name, str) and name != "", "state names must be non-empty strings", "states")
             vec = _parse_vector(raw[name], dim, f"states.{name}", read)
-            norm_dev = abs(float(np.linalg.norm(vec)) - 1.0)
+            norm_dev = norm_deviation(vec)
             _expect(norm_dev <= tol.tau_zero, f"state is not normalized (deviation {norm_dev:.3e})", f"states.{name}")
             states[name] = vec
 
@@ -472,7 +473,7 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
     raw_requests = doc["requests"]
     _expect(isinstance(raw_requests, list), "requests must be a list", "requests")
     requests: list[Request] = []
-    tables = {"symmetries": ("symmetry", symmetries), "states": ("state", states)}
+    tables = {"symmetries": symmetries, "states": states}
     for i, item in enumerate(raw_requests):
         path = f"requests[{i}]"
         _expect(isinstance(item, dict), "each request must be an object", path)
@@ -489,9 +490,9 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
                 continue
             value, field_path = item[name], f"{path}.{name}"
             if name in REFERENCES:
-                noun, table = tables[REFERENCES[name]]
+                table, noun = REFERENCES[name]
                 _expect(isinstance(value, str), f"{noun} reference must be a string", field_path)
-                _expect(value in table, f"unknown {noun} {value!r}", field_path)
+                _expect(value in tables[table], f"unknown {noun} {value!r}", field_path)
             else:
                 # a time may be any finite number, a gap tolerance only a positive one
                 value = _parse_number(value, field_path, positive=name == "gap_tol")

@@ -701,7 +701,3 @@ SUITES = {
     "models": models_suite,
     "scenario_io": scenario_suite,
 }
-
-
-def run_all(tol: Tolerances = DEFAULT_TOLERANCES) -> list[SuiteResult]:
-    return [suite(tol) for suite in SUITES.values()]

@@ -31,7 +31,6 @@ from .verdict import REASON_PREMISE_UNMET, Verdict, classify, require_finite
 
 COMMUTANT = "commutant"
 TIME_REVERSAL_UNITARY = "time_reversal_unitary"
-TIME_REVERSAL_SMATRIX = "time_reversal_smatrix"
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,6 @@ class SymmetryTransform:
     @property
     def dim(self) -> int:
         return self.unitary_part.shape[0]
-
-
-def identity_transform(dim: int, label: str = "1") -> SymmetryTransform:
-    return SymmetryTransform(np.eye(dim, dtype=complex), antilinear=False, label=label)
 
 
 def conjugation(dim: int, label: str = "K") -> SymmetryTransform:
@@ -147,15 +142,6 @@ def time_reversal_consistency(
     backward = mat_exp(arr, 1j * time)
     value = frobenius_norm(conjugate_operator(t, forward) - backward) / max(1.0, float(t.dim))
     return InvarianceMargin(value=value, comparison_kind=TIME_REVERSAL_UNITARY)
-
-
-def smatrix_reversal_margin(t: SymmetryTransform, s: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> InvarianceMargin:
-    """Distance between ``T S T^-1`` and ``S^-1`` for unitary S."""
-    if not t.antilinear:
-        raise MisuseError("scattering reversal requires an antilinear transform")
-    arr = require_unitary(s, tol=tol.tau_zero, name="smatrix")
-    value = frobenius_norm(conjugate_operator(t, arr) - dagger(arr)) / max(1.0, frobenius_norm(arr))
-    return InvarianceMargin(value=value, comparison_kind=TIME_REVERSAL_SMATRIX)
 
 
 def commutant_inference(

@@ -276,22 +276,16 @@ def kramers_degeneracy_verify(
     margin = invariance_margin(t, arr)
     effective_gap = tol.gap_tol if gap_tol is None else float(gap_tol)
 
+    unmet = ""
     if square.classification != MINUS_IDENTITY:
+        unmet = f"transform squares to {square.classification}, not minus identity"
+    elif margin.value > tol.tau_zero:
+        unmet = f"transform does not commute with the Hamiltonian (margin {margin.value:.3e})"
+    if unmet:
         return KramersReport(
             applicable=False,
             passed=None,
-            reason=f"transform squares to {square.classification}, not minus identity",
-            t_square=square,
-            invariance=margin,
-            clusters=None,
-            parities=(),
-            failing_cluster=None,
-        )
-    if margin.value > tol.tau_zero:
-        return KramersReport(
-            applicable=False,
-            passed=None,
-            reason=f"transform does not commute with the Hamiltonian (margin {margin.value:.3e})",
+            reason=unmet,
             t_square=square,
             invariance=margin,
             clusters=None,

@@ -340,6 +340,18 @@ def test_misordered_flag_tolerances_are_rejected(capsysbinary):
     assert b"tau_zero" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, field",
+    [("check", "--tol-violation", "tau_violation"), ("oracle", "--tol-zero", "tau_zero")],
+)
+def test_non_finite_flag_tolerance_is_bad_input(capsysbinary, command, flag, field):
+    code, out, err = run_cli(capsysbinary, command, "--scenario", str(KAON_DECAY), flag, "inf")
+    assert code == 2
+    assert out == b""
+    assert err.startswith(b"error: ")
+    assert f"{field} must be a positive finite number, got inf".encode() in err
+
+
 def test_invalid_env_tolerance_is_a_config_error(capsysbinary, monkeypatch):
     monkeypatch.setenv("TVD_TOL_ZERO", "banana")
     code, _, err = run_cli(capsysbinary, "check", "--scenario", str(KAON_DECAY))

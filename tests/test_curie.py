@@ -9,7 +9,7 @@ from tvd import (
     REASON_BELOW_THRESHOLD,
     REASON_INDETERMINATE,
     REASON_PREMISE_UNMET,
-    TIME_REVERSAL_SMATRIX,
+    TIME_REVERSAL_UNITARY,
     VIOLATION,
     ClassificationError,
     InvarianceMargin,
@@ -161,7 +161,7 @@ def test_inference_decision_table():
 def test_inference_rejects_wrong_margin_kind():
     with pytest.raises(MisuseError):
         s_matrix_inference(
-            InvarianceMargin(0.0, TIME_REVERSAL_SMATRIX),
+            InvarianceMargin(0.0, TIME_REVERSAL_UNITARY),
             InvarianceMargin(0.4, COMMUTANT),
         )
 

@@ -14,8 +14,6 @@ from tvd import (
     dagger,
     frobenius_norm,
     herm_eig,
-    is_hermitian,
-    is_unitary,
     mat_exp,
     normalize,
     random_hermitian,
@@ -133,14 +131,14 @@ def test_herm_eig_degenerate_block_is_orthonormal():
 def test_random_unitary_is_unitary_and_seeded():
     for dim in (2, 3, 5):
         u = random_unitary(dim, seed=11)
-        assert is_unitary(u, tol=1e-12)
+        assert frobenius_norm(dagger(u) @ u - np.eye(dim)) <= 1e-12
         assert np.array_equal(u, random_unitary(dim, seed=11))
     assert not np.array_equal(random_unitary(3, seed=1), random_unitary(3, seed=2))
 
 
 def test_random_hermitian_is_hermitian_and_seeded():
     h = random_hermitian(4, seed=9)
-    assert is_hermitian(h, tol=0.0)
+    assert frobenius_norm(h - dagger(h)) == 0.0
     assert np.array_equal(h, random_hermitian(4, seed=9))
 
 

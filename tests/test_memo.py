@@ -21,7 +21,6 @@ from tvd import (
     Tolerances,
     conjugation,
     herm_eig,
-    identity_transform,
     invariance_margin,
     kabir_check,
     mat_exp,
@@ -150,7 +149,7 @@ def test_every_scalar_input_is_part_of_the_key():
     # tau_eig does not change a decomposition, so it is no part of the key
     assert herm_eig(h, tol=Tolerances(tau_eig=1e-8)) is herm_eig(h, tol=Tolerances(tau_eig=1e-6))
     # same unitary part, linear against antilinear
-    one, k = identity_transform(3), conjugation(3)
+    one, k = SymmetryTransform(np.eye(3), antilinear=False), conjugation(3)
     assert invariance_margin(one, h).value == 0.0 < invariance_margin(k, h).value
     assert runner._commutant_margin(one, h) == 0.0 < runner._commutant_margin(k, h)
     # one content, checked for Hermiticity and for unitarity

@@ -275,3 +275,33 @@ def test_oracle_compare_rejects_an_unknown_detector_built_in_process():
     with pytest.raises(ScenarioError) as err:
         oracle_compare(UNKNOWN, report, DEFAULT_TOLERANCES)
     assert str(err.value) == "unknown detector 'nope'"
+
+
+# requests built in process that name a symmetry or a state the scenario lacks
+MISSING_REFERENCES = {
+    "symmetry": (Request("wigner", {"symmetry": "nope"}), "unknown symmetry 'nope'"),
+    "state": (Request("unitary_curie", {"symmetry": "R", "state": "zz", "time": 1.0}), "unknown state 'zz'"),
+}
+
+
+@pytest.mark.parametrize("reference", sorted(MISSING_REFERENCES))
+def test_unknown_reference_built_in_process_gets_the_parsers_message(reference):
+    request, message = MISSING_REFERENCES[reference]
+    scenario = Scenario(
+        dim=2,
+        matrices={"hamiltonian": G},
+        symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+        states={"even": EVEN_ODD["even"]},
+        requests=(request,),
+    )
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(scenario, DEFAULT_TOLERANCES)
+    assert str(err.value) == f"requests[0]: {message}"
+    forged = Verdict.violation("T", margin=1.0, witness={"forged": True})
+    report = Report(
+        records=(VerdictRecord(request.detector, forged),),
+        provenance=Provenance(tolerances=DEFAULT_TOLERANCES, seed=None),
+    )
+    with pytest.raises(ScenarioError) as err:
+        oracle_compare(scenario, report, DEFAULT_TOLERANCES)
+    assert str(err.value) == message

@@ -11,7 +11,7 @@ from tvd import (
     REASON_BELOW_THRESHOLD,
     REASON_INDETERMINATE,
     REASON_PREMISE_UNMET,
-    TIME_REVERSAL_SMATRIX,
+    TIME_REVERSAL_UNITARY,
     VIOLATION,
     ClassificationError,
     InvarianceMargin,
@@ -24,13 +24,10 @@ from tvd import (
     conjugation,
     cpt_link_inference,
     frobenius_norm,
-    identity_transform,
     invariance_margin,
     inverse,
     random_hermitian,
     random_unitary,
-    smatrix_reversal_margin,
-    t_symmetric_smatrix,
     time_reversal_consistency,
 )
 
@@ -73,7 +70,7 @@ def test_compose_spin_half_reversal_squares_to_minus_identity():
 
 def test_compose_linear_with_identity():
     u = SymmetryTransform(random_unitary(3, seed=5), antilinear=False)
-    got = compose(u, identity_transform(3))
+    got = compose(u, SymmetryTransform(np.eye(3), antilinear=False))
     assert not got.antilinear
     assert frobenius_norm(got.unitary_part - u.unitary_part) <= 1e-15
 
@@ -135,7 +132,7 @@ def test_invariance_margin_zero_for_commuting_pair():
 
 def test_time_reversal_consistency_requires_antilinear():
     with pytest.raises(MisuseError):
-        time_reversal_consistency(identity_transform(2), SIGMA_Z, 1.0)
+        time_reversal_consistency(SymmetryTransform(np.eye(2), antilinear=False), SIGMA_Z, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -151,18 +148,6 @@ def test_time_reversal_consistency_vanishes_iff_invariant():
         assert time_reversal_consistency(conjugation(2), h, t).value <= 1e-12
     # sigma_y anticommutes with conjugation, the defect shows at generic times
     assert time_reversal_consistency(conjugation(2), SIGMA_Y, 1.0).value > 1e-6
-
-
-def test_smatrix_reversal_margin_zero_for_balanced_s():
-    s = t_symmetric_smatrix(4, seed=14)
-    margin = smatrix_reversal_margin(conjugation(4), s)
-    assert margin.comparison_kind == TIME_REVERSAL_SMATRIX
-    assert margin.value <= 1e-12
-
-
-def test_smatrix_reversal_margin_positive_for_loop_coupling():
-    s = np.array([[0.0, 1j], [1.0, 0.0]], dtype=complex)
-    assert smatrix_reversal_margin(conjugation(2), s).value > 1e-6
 
 
 def test_cpt_link_gates():
@@ -189,6 +174,6 @@ def test_cpt_link_gates():
 def test_cpt_link_rejects_wrong_margin_kind():
     with pytest.raises(MisuseError):
         cpt_link_inference(
-            InvarianceMargin(0.0, TIME_REVERSAL_SMATRIX),
+            InvarianceMargin(0.0, TIME_REVERSAL_UNITARY),
             InvarianceMargin(0.5, COMMUTANT),
         )

@@ -19,9 +19,11 @@ from tvd import (
     REASON_INDETERMINATE,
     VIOLATION,
     ClassificationError,
+    ConfigError,
     InvarianceMargin,
     PremiseError,
     SymmetryTransform,
+    Tolerances,
     TvdError,
     Verdict,
     conjugation,
@@ -142,3 +144,11 @@ def test_overflowing_unitarity_check_is_not_a_pass():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ClassificationError, match="smatrix is not unitary"):
             scattering_curie_check(s, PARITY, E0, E1)
+
+
+@pytest.mark.parametrize("field", ["tau_zero", "tau_violation", "tau_eig", "gap_tol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0, -1, True])
+def test_each_tolerance_must_be_a_positive_finite_number(field, value):
+    # an infinite tau_violation would make every Violation unreachable
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        Tolerances(**{field: value})
