@@ -6,7 +6,8 @@ compares, ``selftest`` replays the module invariant suites.
 
 Tolerance and seed precedence, highest first: command line flags, the
 environment (``TVD_TOL_ZERO``, ``TVD_TOL_VIOLATION``, ``TVD_SEED``),
-values in the scenario document, library defaults.
+values in the scenario document, library defaults. Each command reads the
+environment once, before it reads any file.
 
 Exit codes: 0 the command ran, 1 a selftest suite failed, 2 bad input or
 configuration, 3 the oracle disagreed with a verdict.
@@ -35,17 +36,6 @@ ENV_TOL_VIOLATION = "TVD_TOL_VIOLATION"
 ENV_SEED = "TVD_SEED"
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation settings for check and oracle runs."""
-
-    scenarios: tuple[Path, ...]
-    out: Path | None = None
-    format: str = "json"
-    tolerance_overrides: dict[str, float] = dataclasses.field(default_factory=dict)
-    seed: int | None = None
-
-
 def _env_positive_float(name: str) -> float | None:
     raw = os.environ.get(name)
     if raw is None or raw.strip() == "":
@@ -59,7 +49,10 @@ def _env_positive_float(name: str) -> float | None:
     return value
 
 
-def _env_seed() -> int | None:
+def _seed(args: argparse.Namespace) -> int | None:
+    """The ``--seed`` flag, else ``TVD_SEED``, else None (the document's seed)."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get(ENV_SEED)
     if raw is None or raw.strip() == "":
         return None
@@ -77,35 +70,11 @@ def _tolerance_overrides(args: argparse.Namespace) -> dict[str, float]:
         overrides["tau_zero"] = env_zero
     if env_violation is not None:
         overrides["tau_violation"] = env_violation
-    if getattr(args, "tol_zero", None) is not None:
+    if args.tol_zero is not None:
         overrides["tau_zero"] = args.tol_zero
-    if getattr(args, "tol_violation", None) is not None:
+    if args.tol_violation is not None:
         overrides["tau_violation"] = args.tol_violation
     return overrides
-
-
-def _effective_tolerances(scenario: Scenario, overrides: dict[str, float]) -> Tolerances:
-    tol = scenario.effective_tolerances()
-    if overrides:
-        tol = tol.replace(**overrides)
-    return tol
-
-
-def _effective_seed(scenario: Scenario, override: int | None) -> int | None:
-    return override if override is not None else scenario.seed
-
-
-def _run_config(args: argparse.Namespace, paths: list[str]) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _env_seed()
-    return RunConfig(
-        scenarios=tuple(Path(p) for p in paths),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-        format=getattr(args, "format", "json"),
-        tolerance_overrides=_tolerance_overrides(args),
-        seed=seed,
-    )
 
 
 def _at_least_one(raw: str) -> int:
@@ -164,22 +133,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_payload(payload: bytes, out: Path | None) -> None:
-    if out is None:
+def _write_payload(payload: bytes, out: str | None) -> None:
+    if not out:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     else:
-        out.write_bytes(payload)
+        Path(out).write_bytes(payload)
 
 
-def _run_file(path: Path, config: RunConfig) -> tuple[Scenario, Tolerances, Report]:
+def _run_file(path: Path, seed: int | None, overrides: dict[str, float]) -> tuple[Scenario, Tolerances, Report]:
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     scenario = parse_scenario(data)
-    tol = _effective_tolerances(scenario, config.tolerance_overrides)
-    report = run_scenario(scenario, tolerances=tol, seed=_effective_seed(scenario, config.seed))
+    tol = scenario.effective_tolerances(**overrides)
+    report = run_scenario(scenario, tolerances=tol, seed=scenario.seed if seed is None else seed)
     return scenario, tol, report
 
 
@@ -188,32 +157,35 @@ def _render(report: Report, fmt: str) -> bytes:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = _run_config(args, args.scenario)
-    paths = config.scenarios
-    suffix = ".report.json" if config.format == "json" else ".report.txt"
-    if config.out is not None:
+    seed, overrides = _seed(args), _tolerance_overrides(args)
+    paths = [Path(p) for p in args.scenario]
+    out = Path(args.out) if args.out else None
+    suffix = ".report.json" if args.format == "json" else ".report.txt"
+    if out is not None:
         by_stem: dict[str, Path] = {}
         for path in paths:
             other = by_stem.setdefault(path.stem, path)
             if other is not path:
                 raise ConfigError(f"scenarios {other} and {path} would both write {path.stem}{suffix} under --out")
+        if len(paths) > 1 and out.exists() and not out.is_dir():
+            raise ConfigError(f"--out {out} is not a directory; several scenarios need a directory")
     # One scenario after another on this thread: BLAS already spreads each
     # product over every core, so scenario threads only contend with it.
-    payloads = [_render(_run_file(path, config)[2], config.format) for path in paths]
+    payloads = [_render(_run_file(path, seed, overrides)[2], args.format) for path in paths]
 
-    if config.out is None:
+    if out is None:
         for path, payload in zip(paths, payloads):
-            if config.format == "text" and len(paths) > 1:
+            if args.format == "text" and len(paths) > 1:
                 sys.stdout.buffer.write(f"# {path}\n".encode("utf-8"))
             sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
         return 0
-    if len(paths) == 1 and not config.out.is_dir():
-        _write_payload(payloads[0], config.out)
+    if len(paths) == 1 and not out.is_dir():
+        out.write_bytes(payloads[0])
         return 0
-    config.out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     for path, payload in zip(paths, payloads):
-        (config.out / (path.stem + suffix)).write_bytes(payload)
+        (out / (path.stem + suffix)).write_bytes(payload)
     return 0
 
 
@@ -228,21 +200,19 @@ def _cmd_models(args: argparse.Namespace) -> int:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         params[key] = value
     scenario = build_model_scenario(args.name, params)
-    _write_payload(serialize_scenario(scenario), Path(args.out) if args.out else None)
+    _write_payload(serialize_scenario(scenario), args.out)
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    config = _run_config(args, [args.scenario])
-    scenario, tol, report = _run_file(config.scenarios[0], config)
+    scenario, tol, report = _run_file(Path(args.scenario), _seed(args), _tolerance_overrides(args))
     records = oracle_compare(scenario, report, tol)
-    _write_payload(_render(dataclasses.replace(report, oracle=records), config.format), config.out)
+    _write_payload(_render(dataclasses.replace(report, oracle=records), args.format), args.out)
     return 3 if any(not rec.agreed for rec in records) else 0
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    overrides = _tolerance_overrides(args)
-    tol = Tolerances().replace(**overrides) if overrides else Tolerances()
+    tol = Tolerances(**_tolerance_overrides(args))
     names = args.suite if args.suite else list(SUITES)
     any_failed = False
     for name in names:

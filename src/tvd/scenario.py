@@ -18,13 +18,12 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
 from . import __version__ as _tool_version
 from .config import Tolerances
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .linalg import frozen, norm_deviation
 from .symmetry import SymmetryTransform
 from .verdict import Verdict
@@ -73,11 +72,9 @@ class Scenario:
         for name in ("matrices", "states"):
             object.__setattr__(self, name, {k: frozen(np.asarray(v)) for k, v in getattr(self, name).items()})
 
-    def effective_tolerances(self, base: Tolerances | None = None) -> Tolerances:
-        tol = base or Tolerances()
-        if self.tolerance_overrides:
-            tol = tol.replace(**self.tolerance_overrides)
-        return tol
+    def effective_tolerances(self, **overrides: float) -> Tolerances:
+        """The document's tolerances over the library defaults, and ``overrides`` over both."""
+        return Tolerances(**{**(self.tolerance_overrides or {}), **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +215,6 @@ def _parse_complex_entry(entry: object, path: str) -> complex:
     return complex(re_part, im_part)
 
 
-_JSON_REALS = {int, float}
-
-
-def _whole_complex_array(raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Read nested ``[re, im]`` pairs of finite numbers in one numpy call.
-
-    Returns None for any other input, so that the per-entry walker alone
-    decides what is rejected and with which message. numpy would read
-    ``true`` and ``"1"`` as 1.0, hence the leaf type check.
-    """
-    if type(raw) is not list:
-        return None
-    leaves: object = raw
-    try:
-        for _ in shape:
-            leaves = chain.from_iterable(leaves)  # type: ignore[arg-type]
-        if not set(map(type, leaves)) <= _JSON_REALS:  # type: ignore[arg-type]
-            return None
-        pairs = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if pairs.shape != shape + (2,) or not np.isfinite(pairs).all():
-        return None
-    # a view keeps the sign of a -0.0 real part; re + 1j * im would not
-    return frozen(pairs.view(np.complex128).reshape(shape))
-
-
 # Every byte a JSON number token can hold.
 _NUMBER_BYTES = b"+-.0123456789Ee"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
@@ -314,17 +284,14 @@ def _splice(data: bytes) -> tuple[bytes, dict[str, bytes]] | None:
 
 
 def _read_spliced(payloads: dict[str, bytes], raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The array that a placeholder stands for, claimed once; any other value is read as nested lists."""
+    """The array that a placeholder stands for, claimed once; None for any other value."""
     if type(raw) is str and raw in payloads:
         return _read_compact(payloads.pop(raw), shape)
-    return _whole_complex_array(raw, shape)
+    return None
 
 
-_Reader = Callable[[object, tuple[int, ...]], np.ndarray | None]
-
-
-def _parse_matrix(raw: object, dim: int, path: str, read: _Reader) -> np.ndarray:
-    fast = read(raw, (dim, dim))
+def _parse_matrix(raw: object, dim: int, path: str, payloads: dict[str, bytes]) -> np.ndarray:
+    fast = _read_spliced(payloads, raw, (dim, dim))
     if fast is not None:
         return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} rows", path)
@@ -335,8 +302,8 @@ def _parse_matrix(raw: object, dim: int, path: str, read: _Reader) -> np.ndarray
     return frozen(np.array(rows, dtype=complex))
 
 
-def _parse_vector(raw: object, dim: int, path: str, read: _Reader) -> np.ndarray:
-    fast = read(raw, (dim,))
+def _parse_vector(raw: object, dim: int, path: str, payloads: dict[str, bytes]) -> np.ndarray:
+    fast = _read_spliced(payloads, raw, (dim,))
     if fast is not None:
         return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} entries", path)
@@ -358,17 +325,18 @@ def parse_scenario(data: bytes | str) -> Scenario:
     """Parse and validate a scenario document.
 
     Matrices and states come back as read-only arrays. Compact arrays are
-    read straight from the text (``_splice``, ``_read_compact``); anything
-    unexpected on that route parses the original text again with
-    ``_parse_nested``, so both routes give the same arrays, bit for bit,
-    and every error comes from ``_parse_nested``.
+    read straight from the text (``_splice``, ``_read_compact``); any other
+    array is walked entry by entry. Anything unexpected on the compact
+    route parses the original text again with ``_parse_nested``, so both
+    routes give the same arrays, bit for bit, and every error comes from
+    ``_parse_nested``.
     """
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
     spliced = _splice(raw)
     if spliced is not None:
         text, payloads = spliced
         try:
-            scenario = _parse_document(json.loads(text.decode("utf-8")), partial(_read_spliced, payloads))
+            scenario = _parse_document(json.loads(text.decode("utf-8")), payloads)
         except (UnicodeDecodeError, json.JSONDecodeError, ScenarioError):
             pass
         else:
@@ -379,7 +347,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
 
 
 def _parse_nested(data: bytes | str) -> Scenario:
-    """Parse the whole text into nested lists, then validate it."""
+    """Parse the whole text into nested lists, then walk and validate it."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -389,10 +357,10 @@ def _parse_nested(data: bytes | str) -> Scenario:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc}") from None
-    return _parse_document(doc, _whole_complex_array)
+    return _parse_document(doc, {})
 
 
-def _parse_document(doc: object, read: _Reader) -> Scenario:
+def _parse_document(doc: object, payloads: dict[str, bytes]) -> Scenario:
     _expect(isinstance(doc, dict), "document must be a JSON object", "document")
     _reject_unknown(doc, _TOP_FIELDS, "")
 
@@ -415,8 +383,8 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
             key: _parse_number(raw_tol[key], f"tolerances.{key}", positive=True) for key in sorted(raw_tol)
         }
     try:
-        tol = Scenario(dim=dim, tolerance_overrides=tolerance_overrides).effective_tolerances()
-    except Exception as exc:
+        tol = Tolerances(**(tolerance_overrides or {}))
+    except ConfigError as exc:
         raise ScenarioError(str(exc), "tolerances") from None
 
     seed: int | None = None
@@ -435,7 +403,7 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
         _reject_unknown(raw, MATRIX_NAMES, "matrices")
         for name in MATRIX_NAMES:
             if name in raw:
-                matrices[name] = _parse_matrix(raw[name], dim, f"matrices.{name}", read)
+                matrices[name] = _parse_matrix(raw[name], dim, f"matrices.{name}", payloads)
 
     symmetries: dict[str, SymmetryTransform] = {}
     if "symmetries" in doc:
@@ -451,7 +419,7 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
             _expect(isinstance(label, str) and label != "", "label must be a non-empty string", f"{path}.label")
             _expect(label not in symmetries, f"duplicate symmetry label {label!r}", f"{path}.label")
             _expect(isinstance(item["antilinear"], bool), "antilinear must be a boolean", f"{path}.antilinear")
-            unitary = _parse_matrix(item["unitary_part"], dim, f"{path}.unitary_part", read)
+            unitary = _parse_matrix(item["unitary_part"], dim, f"{path}.unitary_part", payloads)
             try:
                 transform = SymmetryTransform(unitary, antilinear=item["antilinear"], label=label)
             except Exception as exc:
@@ -464,7 +432,7 @@ def _parse_document(doc: object, read: _Reader) -> Scenario:
         _expect(isinstance(raw, dict), "states must be an object", "states")
         for name in raw:
             _expect(isinstance(name, str) and name != "", "state names must be non-empty strings", "states")
-            vec = _parse_vector(raw[name], dim, f"states.{name}", read)
+            vec = _parse_vector(raw[name], dim, f"states.{name}", payloads)
             norm_dev = norm_deviation(vec)
             _expect(norm_dev <= tol.tau_zero, f"state is not normalized (deviation {norm_dev:.3e})", f"states.{name}")
             states[name] = vec

@@ -3,7 +3,8 @@ from hypothesis import settings
 
 from tvd.linalg import _MEMOS
 
-settings.register_profile("numeric", deadline=None, max_examples=60)
+# print_blob: a failure prints its @reproduce_failure line, since CI keeps no example database
+settings.register_profile("numeric", deadline=None, max_examples=60, print_blob=True)
 settings.load_profile("numeric")
 
 

@@ -261,6 +261,21 @@ def test_check_out_directory_refuses_two_scenarios_with_one_stem(tmp_path, capsy
     assert not outdir.exists()
 
 
+def test_check_out_file_refuses_several_scenarios(tmp_path, capsysbinary, monkeypatch):
+    ran = []
+    monkeypatch.setattr(tvd.cli, "run_scenario", lambda *a, **k: ran.append(a))
+    target = tmp_path / "report.json"
+    target.write_bytes(b"kept")
+    code, out, err = run_cli(
+        capsysbinary, "check", "--scenario", str(KAON_DECAY), "--scenario", str(CPT_LINK), "--out", str(target),
+    )
+    assert code == 2
+    assert out == b""
+    assert err == f"error: --out {target} is not a directory; several scenarios need a directory\n".encode()
+    assert ran == []
+    assert target.read_bytes() == b"kept"
+
+
 @pytest.mark.parametrize("command", ["check", "oracle"])
 def test_invalid_utf8_scenario_is_bad_input(tmp_path, capsysbinary, command):
     target = tmp_path / "latin1.json"
@@ -470,6 +485,37 @@ def test_seed_env_lands_in_provenance_and_flag_wins(capsysbinary, monkeypatch):
     assert json.loads(out)["provenance"]["seed"] == 7
     _, out, _ = run_cli(capsysbinary, "check", "--scenario", str(KAON_DECAY), "--seed", "9")
     assert json.loads(out)["provenance"]["seed"] == 9
+
+
+@pytest.mark.parametrize("argv", [["check"], ["oracle", "--format", "json"]], ids=["check", "oracle"])
+def test_environment_beats_the_document_and_flags_beat_both(tmp_path, capsysbinary, monkeypatch, argv):
+    doc = json.loads(KAON_DECAY.read_bytes())
+    doc.update(tolerances={"tau_violation": 0.5}, seed=3)
+    target = tmp_path / "settled.json"
+    target.write_text(json.dumps(doc))
+
+    def settings(*flags):
+        code, out, _ = run_cli(capsysbinary, *argv, "--scenario", str(target), *flags)
+        assert code == 0
+        provenance = json.loads(out)["provenance"]
+        return provenance["tolerances"]["tau_violation"], provenance["seed"]
+
+    assert settings() == (0.5, 3)
+    monkeypatch.setenv("TVD_TOL_VIOLATION", "0.25")
+    monkeypatch.setenv("TVD_SEED", "5")
+    assert settings() == (0.25, 5)
+    assert settings("--tol-violation", "0.75", "--seed", "9") == (0.75, 9)
+
+
+@pytest.mark.parametrize("var", ["TVD_SEED", "TVD_TOL_ZERO"])
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_environment_is_read_before_any_file(capsysbinary, monkeypatch, command, var):
+    monkeypatch.setenv(var, "x")
+    code, out, err = run_cli(capsysbinary, command, "--scenario", "/no/such/scenario.json")
+    assert code == 2
+    assert out == b""
+    assert var.encode() in err
+    assert b"/no/such/scenario.json" not in err
 
 
 def test_bad_flag_choice_exits_via_argparse(capsysbinary):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -13,6 +14,7 @@ from tvd import (
     Scenario,
     ScenarioError,
     SymmetryTransform,
+    build_model_scenario,
     canonical_dumps,
     parse_scenario,
     run_scenario,
@@ -26,6 +28,7 @@ from tvd.linalg import _content_key, frozen, herm_eig, random_hermitian, random_
 from tvd.scenario import _format_real
 
 DATA_DIR = Path(__file__).parent / "data"
+GEN_SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "gen_scenarios.py"
 
 FROZEN_SCENARIO_BYTES = (
     b'{"dim":2,"matrices":{"hamiltonian":[[[1,0],[0,0.5]],[[0,-0.5],[2,0]]]},'
@@ -204,9 +207,19 @@ def test_shipped_scenarios_round_trip():
         assert serialize_scenario(parse_scenario(raw)) == raw
 
 
-# Malformed matrices and states: the whole-array reader must hand every one
-# of these to the per-entry walker, which names the first offending entry.
-# numpy alone would read true and "1" as 1.0 and accept them.
+def test_shipped_scenarios_equal_their_builders():
+    """Each shipped file is what scripts/gen_scenarios.py writes, so it stays on the compact route."""
+    spec = importlib.util.spec_from_file_location("gen_scenarios", GEN_SCENARIOS)
+    gen_scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_scenarios)
+    paths = shipped_scenario_paths()
+    assert sorted(paths) == sorted(gen_scenarios.SHIPPED)
+    for stem, model in gen_scenarios.SHIPPED.items():
+        assert serialize_scenario(build_model_scenario(model)) == paths[stem].read_bytes(), stem
+
+
+# Malformed matrices and states: the per-entry walker names the first
+# offending entry. numpy alone would read true and "1" as 1.0 and accept them.
 SITES = {
     "matrices.hamiltonian": lambda d: d["matrices"]["hamiltonian"],
     "symmetries[0].unitary_part": lambda d: d["symmetries"][0]["unitary_part"],
