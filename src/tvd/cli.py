@@ -148,7 +148,7 @@ def _run_file(path: Path, seed: int | None, overrides: dict[str, float]) -> tupl
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
     scenario = parse_scenario(data)
     tol = scenario.effective_tolerances(**overrides)
-    report = run_scenario(scenario, tolerances=tol, seed=scenario.seed if seed is None else seed)
+    report = run_scenario(scenario, tolerances=tol, seed=seed)
     return scenario, tol, report
 
 

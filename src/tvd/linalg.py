@@ -183,13 +183,11 @@ class EigenDecomposition:
 
 def _phase_fix(v: np.ndarray) -> np.ndarray:
     # Rotate the largest-magnitude component to the positive real axis;
-    # ties resolve to the smallest index via argmax.
+    # ties resolve to the smallest index via argmax. eigh's columns have
+    # unit norm, so that component is never zero.
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return v
-    return v * (pivot.conjugate() / mag)
+    return v * (pivot.conjugate() / abs(pivot))
 
 
 _T = TypeVar("_T")

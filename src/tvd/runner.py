@@ -221,22 +221,14 @@ def _wigner_mandated(
     """Some simple eigenray is clearly displaced and clearly isolated."""
     spread = float(values[-1] - values[0]) if values.size > 1 else 0.0
     confident_limit = effective_gap * (tol.tau_violation / tol.tau_zero) * max(1.0, spread)
-    bounds = []
-    start = 0
-    for size in sizes:
-        bounds.append((start, start + size))
-        start += size
-    for k, (lo, hi) in enumerate(bounds):
-        if hi - lo != 1:
-            continue
-        if k > 0 and values[lo] - values[bounds[k - 1][1] - 1] <= 2.0 * confident_limit:
-            continue
-        if k < len(bounds) - 1 and values[bounds[k + 1][0]] - values[lo] <= 2.0 * confident_limit:
-            continue
-        psi = vectors[:, lo]
-        displacement = max(0.0, 1.0 - abs(complex(np.vdot(_applied(t, psi), psi))))
-        if _clearly_moved(displacement, tol):
-            return True
+    # the gaps beside each level; an end level's missing one is NaN, within no limit
+    crowded = np.diff(values, prepend=np.nan, append=np.nan) <= 2.0 * confident_limit
+    for level, size in zip(np.cumsum([0, *sizes]), sizes):
+        if size == 1 and not (crowded[level] or crowded[level + 1]):
+            psi = vectors[:, level]
+            displacement = max(0.0, 1.0 - abs(complex(np.vdot(_applied(t, psi), psi))))
+            if _clearly_moved(displacement, tol):
+                return True
     return False
 
 

@@ -65,7 +65,6 @@ class Scenario:
     requests: tuple[Request, ...] = ()
     tolerance_overrides: dict[str, float] | None = None
     seed: int | None = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         # read-only like parsed arrays, so memo keys hold their buffers, not copies
@@ -477,14 +476,13 @@ def _parse_document(doc: object, payloads: dict[str, bytes]) -> Scenario:
         requests=tuple(requests),
         tolerance_overrides=tolerance_overrides,
         seed=seed,
-        schema_version=SCHEMA_VERSION,
     )
 
 
 def _scenario_doc(scenario: Scenario, array: Callable[[np.ndarray], object]) -> dict:
     """The scenario document, with every matrix and state passed through ``array``."""
     doc: dict[str, object] = {
-        "schema_version": scenario.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "dim": scenario.dim,
         "requests": [dict(r.params, detector=r.detector) for r in scenario.requests],
     }
@@ -549,12 +547,11 @@ class Report:
     records: tuple[VerdictRecord, ...]
     provenance: Provenance
     oracle: tuple[OracleRecord, ...] | None = None
-    schema_version: int = SCHEMA_VERSION
 
 
 def report_jsonable(report: Report) -> dict:
     doc: dict[str, object] = {
-        "schema_version": report.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "records": [
             {
                 "index": i,

@@ -75,7 +75,7 @@ def spectrum_clusters(eigenvalues: np.ndarray, gap_tol: float = DEFAULT_TOLERANC
     spectral_range = float(values[-1] - values[0])
     limit = gap_tol * max(1.0, spectral_range)
     # a cluster ends wherever a gap is not within the limit (a NaN gap included)
-    bounds = [0, *(np.flatnonzero(~(np.diff(values) <= limit)) + 1).tolist(), values.size]
+    edges = [0, *(np.flatnonzero(~(np.diff(values) <= limit)) + 1).tolist(), values.size]
     # np.mean of one value is 0.0 + value: the same bits, except -0.0 becomes 0.0
     singles = (values + 0.0).tolist()
     clusters = tuple(
@@ -84,7 +84,7 @@ def spectrum_clusters(eigenvalues: np.ndarray, gap_tol: float = DEFAULT_TOLERANC
             multiplicity=stop - start,
             indices=tuple(range(start, stop)),
         )
-        for start, stop in zip(bounds, bounds[1:])
+        for start, stop in zip(edges, edges[1:])
     )
     return SpectrumClusters(clusters=clusters, spectral_range=spectral_range, gap_tol=float(gap_tol))
 
@@ -143,23 +143,6 @@ def _eigenrays(arr: np.ndarray, t: SymmetryTransform, decomp: EigenDecomposition
     return _RAYS(_content_key(arr, t.unitary_part, t.antilinear), compute)
 
 
-def _isolated(clusters: SpectrumClusters, k: int, eigenvalues: np.ndarray, confident_limit: float) -> bool:
-    # A multiplicity-1 cluster only supports a Violation when its gaps to
-    # both neighbours clear the widened (hysteresis) gap threshold.
-    cluster = clusters.clusters[k]
-    lo = cluster.indices[0]
-    hi = cluster.indices[-1]
-    if k > 0:
-        below = eigenvalues[lo] - eigenvalues[clusters.clusters[k - 1].indices[-1]]
-        if below <= confident_limit:
-            return False
-    if k < len(clusters.clusters) - 1:
-        above = eigenvalues[clusters.clusters[k + 1].indices[0]] - eigenvalues[hi]
-        if above <= confident_limit:
-            return False
-    return True
-
-
 def wigner_principle_check(
     h: np.ndarray,
     t: SymmetryTransform,
@@ -183,66 +166,51 @@ def wigner_principle_check(
     effective_gap = tol.gap_tol if gap_tol is None else float(gap_tol)
 
     decomp = herm_eig(arr, tol=tol)
-    clusters = spectrum_clusters(decomp.eigenvalues, effective_gap)
-    confident_limit = (
-        effective_gap * (tol.tau_violation / tol.tau_zero) * max(1.0, clusters.spectral_range)
-    )
-
-    simple = [k for k, c in enumerate(clusters.clusters) if c.multiplicity == 1]
+    values = decomp.eigenvalues
+    clusters = spectrum_clusters(values, effective_gap)
+    multiplicities = list(clusters.multiplicities)
+    simple = [c.indices[0] for c in clusters.clusters if c.multiplicity == 1]
     if not simple:
         return Verdict.no_conclusion(
             REASON_PREMISE_UNMET,
-            witness={
-                "note": "every eigenvalue cluster is degenerate",
-                "multiplicities": list(clusters.multiplicities),
-            },
+            witness={"note": "every eigenvalue cluster is degenerate", "multiplicities": multiplicities},
         )
 
+    confident_limit = effective_gap * (tol.tau_violation / tol.tau_zero) * max(1.0, clusters.spectral_range)
+    # A simple level supports a Violation only when neither gap beside it is
+    # within the widened (hysteresis) limit. The gap an end level lacks is
+    # NaN, which is within no limit, not even an overflowed one.
+    crowded = np.diff(values, prepend=np.nan, append=np.nan) <= confident_limit
     rays = _eigenrays(arr, t, decomp)
-    best_k = -1
-    best_delta = -1.0
-    band_hit = False
-    for k in simple:
-        index = clusters.clusters[k].indices[0]
-        norm_dev, delta = rays[index]
+    best, best_delta, band_hit = -1, -1.0, False
+    for i in simple:
+        norm_dev, delta = rays[i]
         if norm_dev > tol.tau_zero:
             # the first simple level off the unit sphere fails as a cold check would
-            require_normalized(decomp.vector(index), dim=t.dim, tol=tol.tau_zero)
-        confident = _isolated(clusters, k, decomp.eigenvalues, confident_limit)
-        if delta > tol.tau_violation and confident and delta > best_delta:
-            best_k = k
-            best_delta = delta
+            require_normalized(decomp.vector(i), dim=t.dim, tol=tol.tau_zero)
+        if delta > tol.tau_violation and not (crowded[i] or crowded[i + 1]) and delta > best_delta:
+            best, best_delta = i, delta
         elif delta > tol.tau_zero:
             band_hit = True
 
-    if best_k >= 0:
-        cluster = clusters.clusters[best_k]
-        index = cluster.indices[0]
+    if best >= 0:
         return Verdict.violation(
             t.label or "T",
             margin=best_delta,
             witness={
-                "eigenvalue": cluster.value,
-                "level_index": index,
+                # a simple cluster's value: the level itself, with -0.0 as 0.0
+                "eigenvalue": float(values[best] + 0.0),
+                "level_index": best,
                 "ray_displacement": best_delta,
-                "multiplicities": list(clusters.multiplicities),
+                "multiplicities": multiplicities,
             },
         )
-    if band_hit:
-        return Verdict.no_conclusion(
-            REASON_INDETERMINATE,
-            witness={
-                "note": "displacements or cluster gaps fall in the hysteresis band",
-                "multiplicities": list(clusters.multiplicities),
-            },
-        )
-    return Verdict.no_conclusion(
-        REASON_BELOW_THRESHOLD,
-        witness={
-            "note": "every non-degenerate eigenvector stays on its ray",
-            "multiplicities": list(clusters.multiplicities),
-        },
+    reason, note = (
+        (REASON_INDETERMINATE, "displacements or cluster gaps fall in the hysteresis band")
+        if band_hit
+        else (REASON_BELOW_THRESHOLD, "every non-degenerate eigenvector stays on its ray")
     )
+    return Verdict.no_conclusion(reason, witness={"note": note, "multiplicities": multiplicities})
 
 
 @dataclass(frozen=True)

@@ -435,6 +435,77 @@ def test_models_rejects_unknown_name_and_bad_param(capsysbinary):
     assert code == 2
 
 
+def test_models_reads_i_notation_for_a_complex_coupling(capsysbinary):
+    code, out, err = run_cli(capsysbinary, "models", "kaon-oscillation", "--param", "w=0.3i")
+    assert (code, err) == (0, b"")
+    assert b'"hamiltonian":[[[0.5,0],[0,0.29999999999999999]],' in out
+
+
+@pytest.mark.parametrize("axis", ["e=z", "e=0,0,1"])
+def test_models_axis_letter_and_components_give_the_default_edm(capsysbinary, axis):
+    _, default, _ = run_cli(capsysbinary, "models", "edm")
+    code, out, err = run_cli(capsysbinary, "models", "edm", "--param", axis)
+    assert (code, err) == (0, b"")
+    assert out == default
+
+
+@pytest.mark.parametrize(
+    "model, param, err",
+    [
+        ("edm", "nope=1", b"error: unknown parameter 'nope' for model 'edm'; expected: d, e, g, h0, j\n"),
+        (
+            "kaon-decay",
+            "epsilon=abc",
+            b"error: bad value for parameter 'epsilon': 'abc' (could not convert string to float: 'abc')\n",
+        ),
+        ("kaon-oscillation", "w=nan", b"error: expected a finite complex number, got 'nan'\n"),
+    ],
+)
+def test_models_rejects_a_bad_parameter_with_its_message(capsysbinary, model, param, err):
+    assert run_cli(capsysbinary, "models", model, "--param", param) == (2, b"", err)
+
+
+def test_document_tolerances_out_of_order_are_bad_input(tmp_path, capsysbinary):
+    doc = json.loads(KAON_DECAY.read_bytes())
+    doc["tolerances"] = {"tau_zero": 0.5}
+    target = tmp_path / "misordered.json"
+    target.write_text(json.dumps(doc))
+    assert run_cli(capsysbinary, "check", "--scenario", str(target)) == (
+        2,
+        b"",
+        b"error: tolerances: tau_zero (0.5) must be below tau_violation (1e-06)\n",
+    )
+
+
+def test_non_positive_env_tolerance_is_bad_input(capsysbinary, monkeypatch):
+    monkeypatch.setenv("TVD_TOL_ZERO", "-1")
+    assert run_cli(capsysbinary, "check", "--scenario", str(KAON_DECAY)) == (
+        2,
+        b"",
+        b"error: environment variable TVD_TOL_ZERO must be a positive finite number, got '-1'\n",
+    )
+
+
+def test_models_out_in_a_missing_directory_is_one_error_line(tmp_path, capsysbinary):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsysbinary, "models", "kaon-decay", "--out", str(target))
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: [Errno 2] ")
+    assert err.endswith(f"{target}'\n".encode())
+    assert err.count(b"\n") == 1
+
+
+def test_check_text_heads_each_of_several_reports_with_its_path(capsysbinary):
+    code, out, _ = run_cli(
+        capsysbinary, "check", "--format", "text", "--scenario", str(KAON_DECAY), "--scenario", str(CPT_LINK)
+    )
+    assert code == 0
+    heads = [line for line in out.decode().splitlines() if line.startswith("# ")]
+    assert heads == [f"# {KAON_DECAY}", f"# {CPT_LINK}"]
+    assert out.startswith(f"# {KAON_DECAY}\n[0] scattering_curie: ".encode())
+    assert f"\n# {CPT_LINK}\n[0] cpt_link: ".encode() in out
+
+
 def test_oracle_agrees_on_every_shipped_scenario(capsysbinary):
     for path in shipped_scenario_paths().values():
         code, out, _ = run_cli(capsysbinary, "oracle", "--scenario", str(path))

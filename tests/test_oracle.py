@@ -4,6 +4,8 @@ These pin sound Violations whose deciding quantity sits at a band edge
 and that an earlier oracle rule reported as disagreements.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,10 +22,12 @@ from tvd import (
     SymmetryTransform,
     Verdict,
     VerdictRecord,
+    build_s_matrix,
     conjugation,
     invariance_margin,
     mat_exp,
     oracle_compare,
+    parse_scenario,
     random_unitary,
     run_scenario,
     serialize_scenario,
@@ -215,13 +219,79 @@ def test_forged_violation_against_a_commuting_symmetry_is_flagged(scenario):
     assert not forged_violation(scenario).agreed
 
 
-def forged_violation(scenario: Scenario):
+def forged_record(scenario: Scenario, verdict: Verdict):
+    """The oracle's record for ``verdict`` in place of the detector's."""
     forged = Report(
-        records=(VerdictRecord(scenario.requests[0].detector, Verdict.violation("T", margin=1.0, witness={"forged": True})),),
+        records=(VerdictRecord(scenario.requests[0].detector, verdict),),
         provenance=run_scenario(scenario, DEFAULT_TOLERANCES).provenance,
     )
     (record,) = oracle_compare(scenario, forged, DEFAULT_TOLERANCES)
     return record
+
+
+def forged_violation(scenario: Scenario):
+    return forged_record(scenario, Verdict.violation("T", margin=1.0, witness={"forged": True}))
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def parity_curie_scenario(h: np.ndarray, state: np.ndarray, time: float) -> Scenario:
+    return Scenario(
+        dim=2,
+        matrices={"hamiltonian": h},
+        symmetries={"R": SymmetryTransform(np.diag([1.0, -1.0]).astype(complex), antilinear=False, label="R")},
+        states={"psi": state.astype(complex)},
+        requests=(Request("unitary_curie", {"symmetry": "R", "state": "psi", "time": time}),),
+    )
+
+
+@pytest.mark.parametrize(
+    "h, state, time",
+    [
+        # R fixes (1, 0); sigma_x turns it towards (0, 1), which R flips
+        (SIGMA_X, np.array([1.0, 0.0]), 1.0),
+        # sigma_y rotates (1, 1)/sqrt(2), which R moves, onto (1, 0), which R fixes
+        (SIGMA_Y, np.array([1.0, 1.0]) / np.sqrt(2.0), -np.pi / 4.0),
+    ],
+    ids=["initial-fixed", "final-fixed"],
+)
+def test_forged_no_conclusion_on_a_fixed_state_that_clearly_moves_is_flagged(h, state, time):
+    scenario = parity_curie_scenario(h, state, time)
+    verdict, sound = oracle_on(scenario)
+    assert verdict.outcome == VIOLATION
+    assert sound.agreed
+    record = forged_record(scenario, Verdict.no_conclusion("below-threshold"))
+    assert not record.agreed
+    assert record.note == "no-conclusion verdict but a fixed state clearly moved"
+
+
+def test_no_conclusion_on_a_state_that_stays_fixed_agrees():
+    verdict, record = oracle_on(parity_curie_scenario(np.diag([1.0, 2.0]).astype(complex), np.array([1.0, 0.0]), 1.0))
+    assert verdict.reason == "premise-unmet"
+    assert record.agreed
+
+
+def test_s_matrix_inference_oracle_records_the_full_hamiltonian_margin():
+    h0 = np.diag([0.5, 2.0]).astype(complex)
+    v = 0.3 * SIGMA_X
+    cp = SymmetryTransform(np.diag([-1.0, 1.0]).astype(complex), antilinear=False, label="CP")
+    built = Scenario(
+        dim=2,
+        matrices={"h0": h0, "v": v, "smatrix": build_s_matrix(h0, v, 0.0, 1.0)},
+        symmetries={"CP": cp},
+        requests=(Request("s_matrix_inference", {"symmetry": "CP"}),),
+    )
+    scenario = parse_scenario(serialize_scenario(built))
+    verdict, record = oracle_on(scenario)
+    assert verdict.outcome == VIOLATION
+    assert record.agreed
+    margin = record.truths["full_hamiltonian_margin"]
+    assert margin == runner._commutant_margin(cp, scenario.matrices["h0"] + scenario.matrices["v"])
+    assert margin > DEFAULT_TOLERANCES.tau_violation
+    without_v = dataclasses.replace(built, matrices={k: m for k, m in built.matrices.items() if k != "v"})
+    assert "full_hamiltonian_margin" not in oracle_on(without_v)[1].truths
 
 
 @pytest.mark.parametrize("time", [1.0, 1e3, 1e6])

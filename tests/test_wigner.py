@@ -15,15 +15,22 @@ from tvd import (
     VIOLATION,
     MisuseError,
     PremiseError,
+    Report,
+    Request,
+    Scenario,
     SymmetryTransform,
     Tolerances,
+    Verdict,
+    VerdictRecord,
     conjugation,
     herm_eig,
     kaon_oscillation_model,
     kramers_degeneracy_verify,
     kramers_square,
+    oracle_compare,
     random_hermitian,
     ray_displacement,
+    run_scenario,
     spectrum_clusters,
     wigner_principle_check,
 )
@@ -200,3 +207,99 @@ def test_first_simple_level_off_the_unit_sphere_fails_first():
         assert str(info.value) == "state is not normalized (deviation 5.551e-16)"
     # the rays this pair memoised do not change a verdict under the default tolerances
     assert wigner_principle_check(h, conjugation(6), gap_tol=0.1003).reason == REASON_INDETERMINATE
+
+
+# Isolation edges: diagonal H, and T = U K with U a permutation, so each
+# eigenvector is a basis vector and T moves the levels U swaps by exactly 1.
+# In the edge cases the swapped partner sits in a degenerate pair, which the
+# rule never reads.
+
+
+def _confident_limit(gap_tol: float, spread: float) -> float:
+    tol = DEFAULT_TOLERANCES
+    return gap_tol * (tol.tau_violation / tol.tau_zero) * max(1.0, spread)
+
+
+def _swap_reversal(dim: int, i: int, j: int) -> SymmetryTransform:
+    u = np.eye(dim, dtype=complex)
+    u[[i, j]] = u[[j, i]]
+    return SymmetryTransform(u, antilinear=True, label="T")
+
+
+def _edge_case(side: str, gap_tol: float):
+    """(H, T, level under test): the level's gap to one neighbour is
+    ``_confident_limit(gap_tol, spread)`` exactly, its other gap is wide."""
+    c = _confident_limit(gap_tol, 4.0 if side in ("below", "above") else 1.0)
+    values, level, partner, edge_gap = {
+        "below": ([0.0, c, 4.0, 4.0], 1, 2, 0),
+        "above": ([-4.0, -4.0, -c, 0.0], 2, 1, 2),
+        "bottom end": ([0.0, c, c], 0, 1, 0),
+        "top end": ([-c, -c, 0.0], 2, 1, 1),
+    }[side]
+    assert np.diff(values)[edge_gap] == c
+    return np.diag(values).astype(complex), _swap_reversal(len(values), level, partner), level
+
+
+def _oracle_on_forged_below_threshold(scenario: Scenario, tol: Tolerances):
+    forged = Report(
+        records=(VerdictRecord("wigner", Verdict.no_conclusion(REASON_BELOW_THRESHOLD)),),
+        provenance=run_scenario(scenario, tol).provenance,
+    )
+    (record,) = oracle_compare(scenario, forged, tol)
+    return record
+
+
+EDGE_SIDES = ["below", "above", "bottom end", "top end"]
+EDGE_GAP_TOLS = {"below": 2.5e-4, "above": 2.5e-4, "bottom end": 1e-4, "top end": 1e-4}
+
+
+@pytest.mark.parametrize("side", EDGE_SIDES)
+def test_gap_equal_to_the_confident_limit_is_indeterminate(side):
+    gap_tol = EDGE_GAP_TOLS[side]
+    h, t, _ = _edge_case(side, gap_tol)
+    verdict = wigner_principle_check(h, t, gap_tol=gap_tol)
+    assert verdict.outcome == NO_CONCLUSION
+    assert verdict.reason == REASON_INDETERMINATE
+
+
+@pytest.mark.parametrize("side", EDGE_SIDES)
+def test_gap_one_float_above_the_confident_limit_is_a_violation(side):
+    gap_tol = EDGE_GAP_TOLS[side]
+    h, t, level = _edge_case(side, gap_tol)
+    below = float(np.nextafter(gap_tol, 0.0))
+    spread = float(h[-1, -1].real - h[0, 0].real)
+    assert _confident_limit(below, spread) < _confident_limit(gap_tol, spread)
+    verdict = wigner_principle_check(h, t, gap_tol=below)
+    assert verdict.outcome == VIOLATION
+    assert verdict.witness["level_index"] == level
+    assert verdict.witness["eigenvalue"] == h[level, level].real
+    assert verdict.margin == verdict.witness["ray_displacement"] == 1.0
+
+
+def test_equal_displacements_name_the_lower_level():
+    verdict = wigner_principle_check(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex), _swap_reversal(4, 1, 3))
+    assert verdict.outcome == VIOLATION
+    assert verdict.witness["level_index"] == 1
+    assert verdict.witness["eigenvalue"] == 1.0
+    assert verdict.witness["ray_displacement"] == 1.0
+
+
+@pytest.mark.parametrize("side", EDGE_SIDES)
+@pytest.mark.parametrize("clear", [False, True], ids=["at-twice-the-limit", "above-twice-the-limit"])
+def test_oracle_wants_both_gaps_above_twice_the_confident_limit(side, clear):
+    # at half the detector's gap_tol, twice the oracle's limit is the same gap
+    gap_tol = EDGE_GAP_TOLS[side] / 2.0
+    if clear:
+        gap_tol = float(np.nextafter(gap_tol, 0.0))
+    h, t, _ = _edge_case(side, EDGE_GAP_TOLS[side])
+    scenario = Scenario(
+        dim=h.shape[0],
+        matrices={"hamiltonian": h},
+        symmetries={"T": t},
+        requests=(Request("wigner", {"symmetry": "T", "gap_tol": gap_tol}),),
+    )
+    record = _oracle_on_forged_below_threshold(scenario, DEFAULT_TOLERANCES)
+    assert record.agreed is not clear
+    if clear:
+        assert record.note == "no-conclusion verdict but an isolated eigenray clearly moves"
+
