@@ -16,7 +16,7 @@ from .config import Tolerances
 from .curie import s_matrix_inference, scattering_curie_check, unitary_curie_check
 from .errors import ClassificationError, ScenarioError
 from .kabir import kabir_check
-from .linalg import _content_key, _Memo
+from .linalg import _content_key, _Memo, require_unitary
 from .scenario import (
     REFERENCES,
     OracleRecord,
@@ -70,10 +70,16 @@ def run_scenario(
 ) -> Report:
     tol = tolerances if tolerances is not None else scenario.effective_tolerances()
     records = []
+    # a transform is built unitary to the default tau_zero; the run's may be tighter
+    unitary: set[int] = set()
     for i, request in enumerate(scenario.requests):
         path = f"requests[{i}]"
         try:
             (run, _), args = _resolve(scenario, request, path)
+            for g in args.values():
+                if isinstance(g, SymmetryTransform) and id(g) not in unitary:
+                    require_unitary(g.unitary_part, tol=tol.tau_zero, name=f"unitary_part of {g.label or 'transform'}")
+                    unitary.add(id(g))
             verdict = run(args, tol)
         except ScenarioError:
             raise

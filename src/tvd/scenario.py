@@ -224,10 +224,10 @@ def _read_compact(payload: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
 
     Returns None unless the array's brackets and commas are exactly those
     of the shape (their count is checked before anything sized by the
-    shape is built) and no pair has an empty slot. With every bracket
-    turned into a space, the JSON decoder then reads one number token per
-    slot, as inside the nested array, and rejects any other token, which a
-    space now parts from its slot's token.
+    shape is built) and no slot is empty: the decoder would take a token
+    moved across a bracket into an empty slot (``[1,]0``) as that slot's.
+    With every bracket a space, the JSON decoder reads one number token
+    per slot and rejects any other token, parted from its slot's by a space.
     """
     shape += (2,)
     skeleton = payload.translate(None, _NUMBER_BYTES)

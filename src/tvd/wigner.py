@@ -70,7 +70,7 @@ def spectrum_clusters(eigenvalues: np.ndarray, gap_tol: float = DEFAULT_TOLERANC
         raise PremiseError("empty spectrum")
     if np.any(np.diff(values) < 0.0):
         raise PremiseError("eigenvalues must be ascending")
-    if gap_tol <= 0.0:
+    if not gap_tol > 0.0:
         raise PremiseError(f"gap_tol must be positive, got {gap_tol}")
     spectral_range = float(values[-1] - values[0])
     limit = gap_tol * max(1.0, spectral_range)

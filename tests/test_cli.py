@@ -200,6 +200,28 @@ def test_entry_near_the_float_limit_prints_only_the_error_line(tmp_path, capsysb
     assert run_cli(capsysbinary, "check", "--scenario", str(target)) == (2, b"", err)
 
 
+# T = diag(1 - 4e-10, 1)·K commutes with H = diag(1, 2) and passes the
+# default tau_zero, but under the document's tighter tolerances its norm
+# loss alone would read as a wigner Violation (margin 4e-10)
+NEARLY_UNITARY = {
+    "dim": 2,
+    "matrices": {"hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
+    "requests": [{"detector": "wigner", "symmetry": "T"}],
+    "schema_version": 1,
+    "symmetries": [{"antilinear": True, "label": "T", "unitary_part": [[[1 - 4e-10, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+    "tolerances": {"tau_violation": 1e-10, "tau_zero": 1e-13},
+}
+
+
+@pytest.mark.parametrize("argv", [["check"], ["oracle", "--format", "text"]], ids=["check", "oracle"])
+def test_symmetry_not_unitary_within_the_documents_tau_zero_is_bad_input(tmp_path, capsysbinary, argv):
+    target = tmp_path / "nearly_unitary.json"
+    target.write_text(json.dumps(NEARLY_UNITARY))
+    code, out, err = run_cli(capsysbinary, *argv, "--scenario", str(target))
+    assert (code, out) == (2, b"")
+    assert re.fullmatch(rb"error: requests\[0\]: unitary_part of T is not unitary \(deviation 8\.\d{3}e-10\)\n", err), err
+
+
 @pytest.mark.parametrize(
     "version, code, err",
     [

@@ -375,3 +375,21 @@ def test_unknown_reference_built_in_process_gets_the_parsers_message(reference):
     with pytest.raises(ScenarioError) as err:
         oracle_compare(scenario, report, DEFAULT_TOLERANCES)
     assert str(err.value) == message
+
+
+def test_each_named_symmetry_is_held_to_the_runs_tau_zero_once(monkeypatch):
+    nearly = SymmetryTransform(np.diag([1.0 - 4e-10, 1.0]), antilinear=True, label="T")
+    scenario = Scenario(
+        dim=2,
+        matrices={"hamiltonian": np.diag([1.0, 2.0])},
+        symmetries={"K": conjugation(2), "T": nearly},
+        requests=(Request("wigner", {"symmetry": "K"}),) * 2 + (Request("wigner", {"symmetry": "T"}),) * 2,
+    )
+    checked = []
+    monkeypatch.setattr(runner, "require_unitary", lambda u, **kw: checked.append(kw["name"]))
+    run_scenario(scenario, DEFAULT_TOLERANCES)
+    assert checked == ["unitary_part of K", "unitary_part of T"]
+    monkeypatch.undo()
+    assert run_scenario(scenario, DEFAULT_TOLERANCES).records[3].verdict.outcome != VIOLATION
+    with pytest.raises(ScenarioError, match=r"^requests\[2\]: unitary_part of T is not unitary \(deviation 8\.000e-10\)$"):
+        run_scenario(scenario, dataclasses.replace(DEFAULT_TOLERANCES, tau_zero=1e-13, tau_violation=1e-10))

@@ -607,6 +607,16 @@ PAYLOAD_CASES = {
     "matrix_wrong_depth": (b"hamiltonian", b"[[1,0],[0,0.5]]"),
     "matrix_too_deep": (b"hamiltonian", b"[[[[1,0],[0,0.5]],[[0,-0.5],[2,0]]]]"),
     "matrix_not_finite": (b"hamiltonian", b"[[[1,0],[0,0.5]],[[0,-0.5],[2,1e999]]]"),
+    # empty matrix slots; all but the ,, keep the layout
+    "matrix_empty_pair": (b"hamiltonian", b"[[[1,0],[,]],[[0,-0.5],[2,0]]]"),
+    "matrix_double_comma_in_row": (b"hamiltonian", b"[[[1,0],[0,0.5]],[[0,-0.5],[2,,0]]]"),
+    "matrix_second_row_leading_comma": (b"hamiltonian", b"[[[1,0],[0,0.5]],[[,-0.5],[2,0]]]"),
+    "matrix_first_slot_empty": (b"hamiltonian", b"[[[,0],[0,0.5]],[[0,-0.5],[2,0]]]"),
+    "matrix_last_slot_empty": (b"hamiltonian", b"[[[1,0],[0,0.5]],[[0,-0.5],[2,]]]"),
+    # a token moved across a bracket into the slot it empties: the JSON decoder
+    # still reads one number per slot, so only the empty-slot check rejects these
+    "matrix_token_moved_after_bracket": (b"hamiltonian", b"[[[1,0],[0,]0.5],[[0,-0.5],[2,0]]]"),
+    "matrix_token_moved_before_bracket": (b"hamiltonian", b"[[[1,0],[0,0.5]],[[0,-0.5],2[,0]]]"),
     "unitary_as_state": (b"unitary_part", STATE),
 }
 

@@ -83,6 +83,14 @@ def test_spectrum_clusters_rejects_bad_input():
         spectrum_clusters(np.array([1.0]), gap_tol=0.0)
 
 
+def test_nan_gap_tol_raises_instead_of_convicting():
+    # T commutes with H = I; a NaN gap_tol would split the degenerate level
+    # into two simple ones, each moved off its ray by T
+    assert wigner_principle_check(np.eye(2), SIGMA_Y_FLIP).reason == REASON_PREMISE_UNMET
+    with pytest.raises(PremiseError, match="gap_tol must be positive, got nan"):
+        wigner_principle_check(np.eye(2), SIGMA_Y_FLIP, gap_tol=math.nan)
+
+
 def test_kramers_square_three_classes():
     assert kramers_square(conjugation(2)).classification == PLUS_IDENTITY
     assert kramers_square(SIGMA_Y_FLIP).classification == MINUS_IDENTITY
