@@ -287,6 +287,18 @@ def _decompose(arr: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
+def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _gaussian_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + dagger(g)) / 2.0
+
+
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-style unitary from a seeded complex Gaussian matrix.
 
@@ -295,17 +307,11 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_unitary(np.random.default_rng(seed), dim)
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
     """Seeded Hermitian matrix ``(G + G^dag) / 2`` with Gaussian G."""
     if dim < 1:
         raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + dagger(g)) / 2.0
+    return _gaussian_hermitian(np.random.default_rng(seed), dim)

@@ -19,6 +19,7 @@ from tvd import (
 )
 import tvd.cli
 from tvd.cli import main
+from tvd.selftest import SUITES, SuiteResult
 
 KAON_DECAY = shipped_scenario_paths()["kaon_decay"]
 CPT_LINK = shipped_scenario_paths()["cpt_link_toy"]
@@ -411,6 +412,43 @@ def test_selftest_single_suite(capsysbinary):
     text = out.decode()
     assert text.startswith("scenario_io:")
     assert text.rstrip().endswith("selftest: OK")
+
+
+def test_selftest_counts_at_default_tolerances(capsysbinary):
+    code, out, _ = run_cli(capsysbinary, "selftest")
+    assert code == 0
+    assert out.decode() == (
+        "linalg: 120 passed, 0 failed\n"
+        "symmetry: 65 passed, 0 failed\n"
+        "curie: 4 passed, 0 failed\n"
+        "kabir: 7 passed, 0 failed\n"
+        "wigner: 7 passed, 0 failed\n"
+        "models: 20 passed, 0 failed\n"
+        "scenario_io: 2 passed, 0 failed\n"
+        "selftest: OK\n"
+    )
+
+
+def test_selftest_failing_suite_exits_one(capsysbinary, monkeypatch):
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda tol, name=name: SuiteResult(name, 1, 0))
+    monkeypatch.setitem(SUITES, "kabir", lambda tol: SuiteResult("kabir", 6, 1, ["forged check"]))
+    code, out, _ = run_cli(capsysbinary, "selftest")
+    assert code == 1
+    text = out.decode()
+    assert "kabir: 6 passed, 1 failed\n  FAIL forged check\n" in text
+    assert text.endswith("selftest: FAILED\n")
+
+
+@pytest.mark.parametrize("tol_zero, tol_violation", [("0.1", "0.5"), ("0.3", "0.9")])
+def test_selftest_passes_at_loose_tolerances(capsysbinary, tol_zero, tol_violation):
+    # the suites judge verdicts against the run's thresholds, not fixed margins
+    code, out, _ = run_cli(
+        capsysbinary, "selftest", "--suite", "symmetry", "--suite", "curie", "--suite", "models",
+        "--tol-zero", tol_zero, "--tol-violation", tol_violation,
+    )
+    assert code == 0, out.decode()
+    assert out.decode().endswith("selftest: OK\n")
 
 
 def test_models_lists_names(capsysbinary):

@@ -70,11 +70,12 @@ def test_symmetric_smatrix_never_trips():
 
 
 def test_oscillation_with_complex_coupling_violates():
-    model = kaon_oscillation_model(0.5, 0.7, 1.0j)
-    smatrix = mat_exp(model.hamiltonian, -1.0j)
-    verdict = kabir_check(smatrix, model.time_reversal, E0, E1)
-    assert verdict.outcome == VIOLATION
-    assert verdict.margin > 1e-3
+    for coupling in (1.0j, 0.3j):
+        model = kaon_oscillation_model(0.5, 0.7, coupling)
+        smatrix = mat_exp(model.hamiltonian, -1.0j)
+        verdict = kabir_check(smatrix, model.time_reversal, E0, E1)
+        assert verdict.outcome == VIOLATION
+        assert verdict.margin > 1e-3
 
 
 def test_oscillation_with_real_coupling_does_not():

@@ -11,10 +11,13 @@ from tvd import (
     SymmetryTransform,
     build_s_matrix,
     conjugate_operator,
+    conjugation,
     edm_model,
+    invariance_margin,
     kaon_decay_scattering_model,
     kaon_oscillation_model,
     kramers_square,
+    random_hermitian,
     spin_operators,
     symmetrize_invariant,
     t_symmetric_smatrix,
@@ -37,8 +40,8 @@ def test_spin_half_matches_pauli_over_two():
 def test_spin_algebra_relations():
     for j in (0.0, 0.5, 1.0, 1.5, 2.0):
         spin = spin_operators(j)
-        comm = spin.jx @ spin.jy - spin.jy @ spin.jx
-        assert np.allclose(comm, 1j * spin.jz, atol=1e-12)
+        for a, b, c in ((spin.jx, spin.jy, spin.jz), (spin.jy, spin.jz, spin.jx), (spin.jz, spin.jx, spin.jy)):
+            assert np.allclose(a @ b - b @ a, 1j * c, atol=1e-12)
         casimir = spin.jx @ spin.jx + spin.jy @ spin.jy + spin.jz @ spin.jz
         assert np.allclose(casimir, j * (j + 1) * np.eye(spin.dim), atol=1e-12)
 
@@ -125,15 +128,21 @@ def test_kaon_decay_epsilon_validation():
         kaon_decay_scattering_model(-0.1)
 
 
+def _half_spin_reversal(dim):
+    # antilinear, squares to minus identity
+    u = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(dim // 2)).astype(complex)
+    return SymmetryTransform(u, antilinear=True, label="T")
+
+
 def test_symmetrize_is_idempotent_and_commuting():
-    rng = np.random.default_rng(71)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (g + g.conj().T) / 2
-    r = SymmetryTransform(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex), antilinear=False, label="R")
-    projected = symmetrize_invariant(h, r)
-    assert np.allclose(symmetrize_invariant(projected, r), projected, atol=1e-12)
-    comm = r.unitary_part @ projected - projected @ r.unitary_part
-    assert np.linalg.norm(comm) <= 1e-12
+    linear = SymmetryTransform(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex), antilinear=False, label="R")
+    antilinear = [make(dim) for dim in (2, 4, 6) for make in (conjugation, _half_spin_reversal)]
+    for r in [linear, *antilinear]:
+        for seed in range(71, 81):
+            projected = symmetrize_invariant(random_hermitian(r.dim, seed=seed), r)
+            assert np.linalg.norm(projected - projected.conj().T) <= 1e-12
+            assert np.allclose(symmetrize_invariant(projected, r), projected, atol=1e-12)
+            assert invariance_margin(r, projected).value <= 1e-12
 
 
 def test_symmetrize_rejects_non_involutive_square():

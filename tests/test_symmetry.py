@@ -110,10 +110,11 @@ def test_antilinear_apply_conjugates_inner_products():
     assert abs(lhs - np.conj(np.vdot(psi, phi))) <= 1e-12
 
 
-def test_conjugate_operator_is_a_morphism():
-    g = SymmetryTransform(random_unitary(3, seed=2), antilinear=True)
-    a = random_hermitian(3, seed=3)
-    b = random_hermitian(3, seed=4)
+@given(st.integers(0, 2_000))
+def test_conjugate_operator_is_a_morphism(seed):
+    g = _random_transform(seed)
+    a = random_hermitian(g.dim, seed=seed + 3)
+    b = random_hermitian(g.dim, seed=seed + 4)
     lhs = conjugate_operator(g, a @ b)
     rhs = conjugate_operator(g, a) @ conjugate_operator(g, b)
     assert frobenius_norm(lhs - rhs) <= 1e-10
