@@ -13,7 +13,7 @@ from tvd import (
     conjugate_operator,
     conjugation,
     edm_model,
-    invariance_margin,
+    frobenius_norm,
     kaon_decay_scattering_model,
     kaon_oscillation_model,
     kramers_square,
@@ -23,6 +23,7 @@ from tvd import (
     t_symmetric_smatrix,
     wigner_eckart_chain,
 )
+from tvd.selftest import _half_spin_reversal
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -128,12 +129,6 @@ def test_kaon_decay_epsilon_validation():
         kaon_decay_scattering_model(-0.1)
 
 
-def _half_spin_reversal(dim):
-    # antilinear, squares to minus identity
-    u = np.kron(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(dim // 2)).astype(complex)
-    return SymmetryTransform(u, antilinear=True, label="T")
-
-
 def test_symmetrize_is_idempotent_and_commuting():
     linear = SymmetryTransform(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex), antilinear=False, label="R")
     antilinear = [make(dim) for dim in (2, 4, 6) for make in (conjugation, _half_spin_reversal)]
@@ -142,7 +137,7 @@ def test_symmetrize_is_idempotent_and_commuting():
             projected = symmetrize_invariant(random_hermitian(r.dim, seed=seed), r)
             assert np.linalg.norm(projected - projected.conj().T) <= 1e-12
             assert np.allclose(symmetrize_invariant(projected, r), projected, atol=1e-12)
-            assert invariance_margin(r, projected).value <= 1e-12
+            assert frobenius_norm(conjugate_operator(r, projected) - projected) <= 1e-12
 
 
 def test_symmetrize_rejects_non_involutive_square():
