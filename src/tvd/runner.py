@@ -204,13 +204,14 @@ def _weak_breaking_moves(margin: float, h: np.ndarray, dev_i: float, dev_f: floa
 
     With U = exp(-itH), R psi_f - psi_f = (R U R^-1 - U) R psi_i + U (R psi_i - psi_i)
     and ||exp(-itA) - exp(-itB)|| <= |t| ||A - B||, so the deviation moves by at
-    most |t| ||R H R^-1 - H||_F. The factor two leaves room for rounding.
+    most |t| ||R H R^-1 - H||_F. The factor two leaves room for rounding. A Violation
+    moves it by more than tau_violation - tau_zero, so half of that is a clear move.
     """
     h_norm = _norm(h)
     commutator = margin * max(1.0, h_norm)
     move = abs(dev_f - dev_i)
     return (
-        move > tol.tau_zero
+        move > min(tol.tau_zero, 0.5 * (tol.tau_violation - tol.tau_zero))
         and commutator > _COMMUTATOR_FLOOR * h_norm
         and 2.0 * abs(time) * commutator >= move
     )

@@ -12,13 +12,15 @@ judges the library's random constructors, so the suites draw with them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .curie import scattering_curie_check, unitary_curie_check
-from .kabir import amplitude_pair, kabir_check, probability_asymmetry, transition_probability
+from .errors import PremiseError
+from .kabir import amplitude_pair, probability_asymmetry, transition_probability
 from .linalg import (
     _gaussian_hermitian,
     _haar_unitary,
@@ -40,7 +42,7 @@ from .models import (
     t_symmetric_smatrix,
     wigner_eckart_chain,
 )
-from .runner import run_scenario
+from .runner import _RUN_ORACLE, run_scenario
 from .scenario import Request, Scenario, parse_scenario, serialize_report, serialize_scenario
 from .symmetry import (
     SymmetryTransform,
@@ -118,6 +120,14 @@ def _half_spin_reversal(dim: int) -> SymmetryTransform:
     return SymmetryTransform(u, antilinear=True, label="T")
 
 
+def _check_soundness(c: _Checker, label: str, detector: str, draws: Iterable[dict], tol: Tolerances) -> None:
+    """Run each draw as ``tvd check`` does; a draw is unsound when its oracle rule returns a note."""
+    run, oracle = _RUN_ORACLE[detector]
+    judged = [(args, run(args, tol).outcome) for args in draws]
+    c.check(label, not any(oracle(args, outcome, tol)[1] for args, outcome in judged))
+    c.check("violations actually occur", any(outcome == VIOLATION for _, outcome in judged))
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -184,16 +194,8 @@ def fact1_instances(count: int, base_seed: int = _BASE_SEED + 300):
 
 def curie_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteResult:
     c = _Checker()
-    violations = 0
-    sound = True
-    for h, r, psi, t in fact1_instances(500):
-        verdict = unitary_curie_check(h, r, psi, t, tol=tol)
-        if verdict.outcome == VIOLATION:
-            violations += 1
-            if invariance_margin(r, h).value <= tol.tau_zero:
-                sound = False
-    c.check("unitary soundness over 500 instances", sound)
-    c.check("violations actually occur", violations > 0)
+    draws = ({"hamiltonian": h, "symmetry": r, "state": psi, "time": t} for h, r, psi, t in fact1_instances(500))
+    _check_soundness(c, "unitary soundness over 500 instances", "unitary_curie", draws, tol)
 
     clean = True
     for i in range(1000):
@@ -232,11 +234,9 @@ def curie_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteResult:
     return c.result("curie")
 
 
-def kabir_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteResult:
-    c = _Checker()
-    sound = True
-    violations = 0
-    for i in range(500):
+def _kabir_instances(count: int):
+    """Seeded kabir request arguments; every third S is reversal-symmetric."""
+    for i in range(count):
         rng = np.random.default_rng(_BASE_SEED + 3000 + i)
         dim = 2 + i % 5
         if i % 3 == 0:
@@ -245,17 +245,12 @@ def kabir_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteResult:
         else:
             s = _haar_unitary(rng, dim)
             t = SymmetryTransform(_haar_unitary(rng, dim), antilinear=True, label="T")
-        psi_in = _random_state(rng, dim)
-        psi_out = _random_state(rng, dim)
-        verdict = kabir_check(s, t, psi_in, psi_out, tol=tol)
-        if verdict.outcome == VIOLATION:
-            violations += 1
-            u = t.unitary_part
-            defect = frobenius_norm(u @ s.conj() @ u.conj().T - dagger(s))
-            if defect <= tol.tau_zero:
-                sound = False
-    c.check("amplitude soundness over 500 instances", sound)
-    c.check("violations actually occur", violations > 0)
+        yield {"smatrix": s, "symmetry": t, "state_in": _random_state(rng, dim), "state_out": _random_state(rng, dim)}
+
+
+def kabir_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteResult:
+    c = _Checker()
+    _check_soundness(c, "amplitude soundness over 500 instances", "kabir", _kabir_instances(500), tol)
 
     balanced = True
     for i in range(60):
@@ -323,9 +318,11 @@ def wigner_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> SuiteResult:
                 delta = ray_displacement(t, decomp.vector(cluster.indices[0]), tol=tol)
                 if delta > 1e-8:
                     contrapositive = False
-        verdict = wigner_principle_check(h, t, tol=tol)
-        if verdict.outcome == VIOLATION:
-            contrapositive = False
+        try:
+            if wigner_principle_check(h, t, tol=tol).outcome == VIOLATION:
+                contrapositive = False
+        except PremiseError:
+            pass  # an H within tau_zero of zero gives no verdict
     c.check("commuting reversal leaves simple rays fixed", contrapositive)
 
     phase_ok = True

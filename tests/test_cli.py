@@ -18,6 +18,7 @@ from tvd import (
     shipped_scenario_paths,
 )
 import tvd.cli
+from tvd import runner
 from tvd.cli import main
 from tvd.selftest import SUITES, SuiteResult
 
@@ -449,6 +450,40 @@ def test_selftest_passes_at_loose_tolerances(capsysbinary, tol_zero, tol_violati
     )
     assert code == 0, out.decode()
     assert out.decode().endswith("selftest: OK\n")
+
+
+@pytest.mark.parametrize("tol_zero, tol_violation", [("0.6", "0.9"), ("0.9", "0.99")])
+def test_selftest_soundness_suites_pass_where_tau_violation_is_close_to_tau_zero(capsysbinary, tol_zero, tol_violation):
+    code, out, _ = run_cli(
+        capsysbinary, "selftest", "--suite", "curie", "--suite", "kabir",
+        "--tol-zero", tol_zero, "--tol-violation", tol_violation,
+    )
+    assert code == 0, out.decode()
+    assert out.decode().endswith("selftest: OK\n")
+
+
+def test_selftest_at_very_loose_tolerances_runs_every_suite(capsysbinary):
+    # a symmetrized H can lie within tau_zero of zero; that draw gives no verdict
+    code, out, err = run_cli(capsysbinary, "selftest", "--tol-zero", "0.9", "--tol-violation", "0.99")
+    assert code == 1, err.decode()
+    counts = re.findall(r"^(\w+): \d+ passed, \d+ failed$", out.decode(), re.MULTILINE)
+    assert counts == list(SUITES)
+    assert out.decode().endswith("selftest: FAILED\n")
+
+
+@pytest.mark.parametrize(
+    "suite, detector, label",
+    [
+        ("curie", "unitary_curie", "unitary soundness over 500 instances"),
+        ("kabir", "kabir", "amplitude soundness over 500 instances"),
+    ],
+)
+def test_selftest_soundness_is_judged_by_the_oracle_table(capsysbinary, monkeypatch, suite, detector, label):
+    run, _ = runner._RUN_ORACLE[detector]
+    monkeypatch.setitem(runner._RUN_ORACLE, detector, (run, lambda args, outcome, tol: ({}, "forged note")))
+    code, out, _ = run_cli(capsysbinary, "selftest", "--suite", suite)
+    assert code == 1
+    assert f"  FAIL {label}\n" in out.decode()
 
 
 def test_models_lists_names(capsysbinary):

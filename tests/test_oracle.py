@@ -5,6 +5,7 @@ and that an earlier oracle rule reported as disagreements.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from tvd import (
 )
 from tvd import runner, scenario as schema
 from tvd.cli import main
+from tvd.selftest import fact1_instances
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # real symmetric and swap-symmetric, so S = exp(-iG) commutes with the swap
@@ -145,6 +147,33 @@ def test_weak_breaking_rule_needs_a_move_a_commutator_and_the_duhamel_bound(marg
 def test_oracle_cli_accepts_weak_breaking_violation(tmp_path, capsysbinary):
     target = tmp_path / "weak.json"
     target.write_bytes(serialize_scenario(weak_curie_scenario(np.diag([1.0, 1.0 + 2e-7]).astype(complex), 100.0)))
+    code = main(["oracle", "--scenario", str(target)])
+    out = capsysbinary.readouterr().out
+    assert code == 0, out
+    assert b"DISAGREES" not in out
+
+
+def test_oracle_accepts_a_move_below_tau_zero_when_the_band_is_narrow(tmp_path, capsysbinary):
+    # selftest's fact1 draw 233 at 0.9 / 0.99: the deviation moves by 0.566,
+    # above tau_violation - tau_zero but below tau_zero, and the commutant
+    # margin 0.815 is below tau_zero too
+    h, r, psi, time = next(itertools.islice(fact1_instances(500), 233, None))
+    scenario = Scenario(
+        dim=5,
+        matrices={"hamiltonian": h},
+        symmetries={"R": r},
+        states={"psi": psi},
+        requests=(Request("unitary_curie", {"symmetry": "R", "state": "psi", "time": time}),),
+        tolerance_overrides={"tau_zero": 0.9, "tau_violation": 0.99},
+    )
+    tol = scenario.effective_tolerances()
+    (verdict,) = [record.verdict for record in run_scenario(scenario).records]
+    assert verdict.outcome == VIOLATION
+    assert invariance_margin(r, h).value <= tol.tau_zero
+    move = abs(verdict.witness["final_deviation"] - verdict.witness["initial_deviation"])
+    assert tol.tau_violation - tol.tau_zero < move <= tol.tau_zero
+    target = tmp_path / "narrow_band.json"
+    target.write_bytes(serialize_scenario(scenario))
     code = main(["oracle", "--scenario", str(target)])
     out = capsysbinary.readouterr().out
     assert code == 0, out
