@@ -99,10 +99,11 @@ def scattering_curie_check(
     v_in = as_state_vector(psi_in, dim=smat.shape[0], name="psi_in")
     v_out = as_state_vector(psi_out, dim=smat.shape[0], name="psi_out")
 
-    in_even = float(np.linalg.norm(apply(r, v_in) - v_in))
-    in_odd = float(np.linalg.norm(apply(r, v_in) + v_in))
-    out_even = float(np.linalg.norm(apply(r, v_out) - v_out))
-    out_odd = float(np.linalg.norm(apply(r, v_out) + v_out))
+    r_in, r_out = apply(r, v_in), apply(r, v_out)
+    in_even = float(np.linalg.norm(r_in - v_in))
+    in_odd = float(np.linalg.norm(r_in + v_in))
+    out_even = float(np.linalg.norm(r_out - v_out))
+    out_odd = float(np.linalg.norm(r_out + v_out))
 
     if in_even <= tol.tau_zero and out_odd <= tol.tau_zero:
         branch = "in-even-out-odd"

@@ -8,10 +8,10 @@ with unit norm. Inner products are conjugate linear in the first slot:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
 
@@ -56,19 +56,9 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def _hermitian_deviation(arr: np.ndarray) -> float:
-    """``||A - A^dag||_F`` of a square matrix, memoised by content."""
-    return _DEVIATIONS(_content_key("hermitian", arr), lambda: frobenius_norm(arr - dagger(arr)))
-
-
-def _unitary_deviation(arr: np.ndarray) -> float:
-    """``||A^dag A - I||_F`` of a square matrix, memoised by content."""
-    return _DEVIATIONS(_content_key("unitary", arr), lambda: frobenius_norm(dagger(arr) @ arr - np.eye(len(arr))))
-
-
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "matrix") -> np.ndarray:
     arr = as_square_matrix(a, name)
-    dev = _hermitian_deviation(arr)
+    dev = _deviation("hermitian", arr)
     if dev > tol:
         raise ClassificationError(f"{name} is not Hermitian (deviation {dev:.3e})")
     return arr
@@ -76,7 +66,7 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, n
 
 def require_unitary(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.tau_zero, name: str = "matrix") -> np.ndarray:
     arr = as_square_matrix(a, name)
-    dev = _unitary_deviation(arr)
+    dev = _deviation("unitary", arr)
     # an overflowing product can leave a NaN deviation, which proves nothing
     if not dev <= tol:
         raise ClassificationError(f"{name} is not unitary (deviation {dev:.3e})")
@@ -190,28 +180,32 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / abs(pivot))
 
 
-_T = TypeVar("_T")
 _MEMOS: list[_Memo] = []
 
 
 class _Memo:
-    """A small table of results keyed by exact input content, oldest evicted first.
+    """A function with a small table of its results keyed by exact input content, oldest evicted first.
 
-    Every caller with an equal key gets the same object, so values must be
-    immutable: read-only arrays, frozen dataclasses, floats. Each access is
+    The key is ``_content_key`` of the positional arguments. Keyword
+    arguments are passed on unkeyed, so they must follow from the positional
+    ones. Every caller with an equal key gets the same object, so values must
+    be immutable: read-only arrays, frozen dataclasses, floats. Each access is
     one dict operation or one copy of the keys, so threads sharing a table
     at worst compute one value twice. Tables live in process memory only.
     """
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, compute: Callable) -> None:
         self.size = size
+        self.compute = compute
         self.table: dict[tuple, object] = {}
+        functools.update_wrapper(self, compute)
         _MEMOS.append(self)
 
-    def __call__(self, key: tuple, compute: Callable[[], _T]) -> _T:
+    def __call__(self, *args: object, **unkeyed: object):
+        key = _content_key(*args)
         value = self.table.get(key)
         if value is None:
-            value = compute()
+            value = self.compute(*args, **unkeyed)
             self.table[key] = value
             # list() copies the keys, oldest first, without running bytecode,
             # so no other thread can change the table during the copy
@@ -221,6 +215,11 @@ class _Memo:
 
     def clear(self) -> None:
         self.table.clear()
+
+
+def memoised(size: int) -> Callable[[Callable], _Memo]:
+    """Declare a function memoised in a table of its own that holds ``size`` results."""
+    return lambda compute: _Memo(size, compute)
 
 
 def _frozen_bytes(a: np.ndarray) -> bytes | None:
@@ -255,9 +254,15 @@ def _content_key(*parts: object) -> tuple:
     )
 
 
-# Each caller compares a memoised deviation with its own tolerance.
-_DEVIATIONS = _Memo(8)
-_SPECTRA = _Memo(4)
+@memoised(8)
+def _deviation(kind: str, arr: np.ndarray) -> float:
+    """``||A - A^dag||_F`` for kind "hermitian", else ``||A^dag A - I||_F``.
+
+    Each caller compares the memoised deviation with its own tolerance.
+    """
+    if kind == "hermitian":
+        return frobenius_norm(arr - dagger(arr))
+    return frobenius_norm(dagger(arr) @ arr - np.eye(len(arr)))
 
 
 def herm_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
@@ -270,10 +275,10 @@ def herm_eig(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomp
     and bytes as a recent one gets that call's read-only result object
     back. The Hermitian check runs on every call, before the lookup.
     """
-    arr = require_hermitian(a, tol=tol.tau_zero)
-    return _SPECTRA(_content_key(arr), lambda: _decompose(arr))
+    return _decompose(require_hermitian(a, tol=tol.tau_zero))
 
 
+@memoised(4)
 def _decompose(arr: np.ndarray) -> EigenDecomposition:
     eigenvalues, vectors = np.linalg.eigh((arr + dagger(arr)) / 2.0)
     # entries near the float limit overflow the Hermitian part, and eigh

@@ -27,7 +27,6 @@ from .linalg import frobenius_norm, herm_eig, mat_exp, require_hermitian
 from .symmetry import (
     SymmetryTransform,
     apply,
-    compose,
     conjugate_operator,
     conjugation,
 )
@@ -166,10 +165,7 @@ def wigner_eckart_chain(model: EdmModel, tol: Tolerances = DEFAULT_TOLERANCES) -
             )
         )
     denom = sum(a * a for _, a, _ in expectations)
-    if denom <= tol.tau_zero:
-        coupling = 0.0
-    else:
-        coupling = sum(a * dd for _, a, dd in expectations) / denom
+    coupling = sum(a * dd for _, a, dd in expectations) / denom if denom else 0.0
 
     reversed_dipole = conjugate_operator(t, model.dipole)
     records = []
@@ -263,7 +259,10 @@ def symmetrize_invariant(h: np.ndarray, g: SymmetryTransform, tol: Tolerances = 
     other squares are rejected.
     """
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
-    square = compose(g, g).unitary_part
+    # an array product, as in kramers_square: a transform built from the square
+    # would run the unitary check again, on twice the deviation of g
+    u = g.unitary_part
+    square = u @ (u.conj() if g.antilinear else u)
     eye = np.eye(g.dim)
     if min(frobenius_norm(square - eye), frobenius_norm(square + eye)) > tol.tau_zero:
         raise PremiseError("symmetrization needs a transform squaring to plus or minus identity")

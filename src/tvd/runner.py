@@ -16,7 +16,7 @@ from .config import Tolerances
 from .curie import s_matrix_inference, scattering_curie_check, unitary_curie_check
 from .errors import ClassificationError, ScenarioError
 from .kabir import kabir_check
-from .linalg import _content_key, _Memo, require_unitary
+from .linalg import frozen, memoised, require_unitary
 from .scenario import (
     REFERENCES,
     OracleRecord,
@@ -26,13 +26,7 @@ from .scenario import (
     Scenario,
     VerdictRecord,
 )
-from .symmetry import (
-    SymmetryTransform,
-    compose,
-    cpt_link_inference,
-    inverse,
-    invariance_margin,
-)
+from .symmetry import SymmetryTransform, cpt_link_inference, invariance_margin
 from .verdict import NO_CONCLUSION, VIOLATION, Verdict
 from .wigner import wigner_principle_check
 
@@ -101,60 +95,53 @@ def _norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _conjugated(g: SymmetryTransform, a: np.ndarray) -> np.ndarray:
-    u = g.unitary_part
-    middle = a.conj() if g.antilinear else a
+def _conjugated(u: np.ndarray, antilinear: bool, a: np.ndarray) -> np.ndarray:
+    middle = a.conj() if antilinear else a
     return u @ middle @ u.conj().T
 
 
-# The oracle memoises in tables of its own, so it never reads a result
-# that the detector path computed.
-_ORACLE_SPECTRA = _Memo(4)
-_ORACLE_MARGINS = _Memo(8)
-_ORACLE_REVERSALS = _Memo(8)
-_ORACLE_S_COMMUTANTS = _Memo(8)
-_ORACLE_S_DEFECTS = _Memo(8)
+# The oracle's memoised quantities are functions of arrays and flags alone,
+# each in a table of its own, so it never reads a result that the detector
+# path computed.
 
 
-def _commutant_margin(g: SymmetryTransform, a: np.ndarray) -> float:
-    return _ORACLE_MARGINS(
-        _content_key(g.unitary_part, g.antilinear, a),
-        lambda: _norm(_conjugated(g, a) - a) / max(1.0, _norm(a)),
-    )
+@memoised(8)
+def _commutant_margin(u: np.ndarray, antilinear: bool, a: np.ndarray) -> float:
+    return _norm(_conjugated(u, antilinear, a) - a) / max(1.0, _norm(a))
 
 
-def _s_commutant(r: SymmetryTransform, smat: np.ndarray) -> float:
-    """``||RS - SR||_F / max(1, ||S||_F)`` for the unitary part R of r."""
-    u = r.unitary_part
-    return _ORACLE_S_COMMUTANTS(_content_key(u, smat), lambda: _norm(u @ smat - smat @ u) / max(1.0, _norm(smat)))
+@memoised(8)
+def _s_commutant(u: np.ndarray, smat: np.ndarray) -> float:
+    """``||RS - SR||_F / max(1, ||S||_F)`` for the unitary part R of a linear symmetry."""
+    return _norm(u @ smat - smat @ u) / max(1.0, _norm(smat))
 
 
-def _reversal_defect(t: SymmetryTransform, smat: np.ndarray) -> float:
-    """``||U conj(S) U^dag - S^dag||_F`` for the unitary part U of t."""
-    u = t.unitary_part
-    return _ORACLE_S_DEFECTS(_content_key(u, smat), lambda: _norm(u @ smat.conj() @ u.conj().T - smat.conj().T))
+@memoised(8)
+def _reversal_defect(u: np.ndarray, smat: np.ndarray) -> float:
+    """``||U conj(S) U^dag - S^dag||_F`` for the unitary part U of a reversal."""
+    return _norm(u @ smat.conj() @ u.conj().T - smat.conj().T)
 
 
-def _derived_reversal(cp: SymmetryTransform, cpt: SymmetryTransform) -> SymmetryTransform:
-    """The reversal ``CP^-1 CPT`` that the two inputs imply."""
-    return _ORACLE_REVERSALS(
-        _content_key(cp.unitary_part, cp.antilinear, cpt.unitary_part, cpt.antilinear),
-        lambda: compose(inverse(cp), cpt, label="T"),
-    )
+@memoised(8)
+def _derived_reversal(
+    cp_u: np.ndarray, cp_antilinear: bool, cpt_u: np.ndarray, cpt_antilinear: bool
+) -> tuple[np.ndarray, bool]:
+    """The read-only unitary part and the antilinear flag of the reversal ``CP^-1 CPT`` the inputs imply."""
+    # CP^-1's unitary part in C order, as a transform would store it, so that
+    # the product gets the same operands and gives the same bytes
+    cp_inverse = np.ascontiguousarray(cp_u.T if cp_antilinear else cp_u.conj().T)
+    return frozen(cp_inverse @ (cpt_u.conj() if cp_antilinear else cpt_u)), cp_antilinear != cpt_antilinear
 
 
+@memoised(4)
 def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of the Hermitian part of h, read-only."""
-
-    def compute() -> tuple[np.ndarray, np.ndarray]:
-        values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
-        if not np.all(np.isfinite(values)):
-            raise ClassificationError("oracle spectrum is not finite: the Hermitian part overflows")
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        return values, vectors
-
-    return _ORACLE_SPECTRA(_content_key(h), compute)
+    values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
+    if not np.all(np.isfinite(values)):
+        raise ClassificationError("oracle spectrum is not finite: the Hermitian part overflows")
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return values, vectors
 
 
 def _greedy_clusters(values: np.ndarray, gap_tol: float) -> list[int]:
@@ -245,7 +232,7 @@ def _wigner_mandated(
 
 def _unitary_curie_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
     r, h, psi_i = a["symmetry"], a["hamiltonian"], a["state"]
-    truth = _commutant_margin(r, h)
+    truth = _commutant_margin(r.unitary_part, r.antilinear, h)
     # independent propagator: direct eigendecomposition instead of the
     # detector's Pade exponential
     values, vectors = _spectrum(h)
@@ -265,7 +252,7 @@ def _unitary_curie_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[
 
 def _scattering_curie_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
     r, smat, v_in, v_out = a["symmetry"], a["smatrix"], a["state_in"], a["state_out"]
-    truth = _s_commutant(r, smat)
+    truth = _s_commutant(r.unitary_part, smat)
     amplitude = abs(complex(np.vdot(v_out, smat @ v_in)))
     truths = {"commutant_margin": truth, "cross_amplitude": amplitude}
     if outcome == VIOLATION:
@@ -284,22 +271,22 @@ def _scattering_curie_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[di
 
 
 def _s_matrix_inference_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
-    r = a["symmetry"]
-    h0_margin = _commutant_margin(r, a["h0"])
-    s_margin = _commutant_margin(r, a["smatrix"])
+    u, antilinear = a["symmetry"].unitary_part, a["symmetry"].antilinear
+    h0_margin = _commutant_margin(u, antilinear, a["h0"])
+    s_margin = _commutant_margin(u, antilinear, a["smatrix"])
     if h0_margin <= tol.tau_zero and s_margin > tol.tau_violation:
         expected = VIOLATION
     else:
         expected = NO_CONCLUSION
     truths = {"h0_margin": h0_margin, "smatrix_margin": s_margin}
     if "v" in a:
-        truths["full_hamiltonian_margin"] = _commutant_margin(r, a["h0"] + a["v"])
+        truths["full_hamiltonian_margin"] = _commutant_margin(u, antilinear, a["h0"] + a["v"])
     return truths, "" if outcome == expected else f"rederived outcome {expected}, detector said {outcome}"
 
 
 def _kabir_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
     t, smat, v_in, v_out = a["symmetry"], a["smatrix"], a["state_in"], a["state_out"]
-    reversal_defect = _reversal_defect(t, smat)
+    reversal_defect = _reversal_defect(t.unitary_part, smat)
     forward = complex(np.vdot(v_out, smat @ v_in))
     backward = complex(np.vdot(_applied(t, v_in), smat @ _applied(t, v_out)))
     asymmetry = abs(forward - backward)
@@ -313,10 +300,11 @@ def _kabir_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, flo
 
 def _cpt_link_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
     cpt, cp, h = a["cpt_symmetry"], a["cp_symmetry"], a["hamiltonian"]
-    cpt_margin = _commutant_margin(cpt, h)
-    cp_margin = _commutant_margin(cp, h)
+    cpt_margin = _commutant_margin(cpt.unitary_part, cpt.antilinear, h)
+    cp_margin = _commutant_margin(cp.unitary_part, cp.antilinear, h)
     # the reversal implied by the two inputs, checked directly
-    t_margin = _commutant_margin(_derived_reversal(cp, cpt), h)
+    reversal = _derived_reversal(cp.unitary_part, cp.antilinear, cpt.unitary_part, cpt.antilinear)
+    t_margin = _commutant_margin(*reversal, h)
     truths = {"cpt_margin": cpt_margin, "cp_margin": cp_margin, "t_margin": t_margin}
     if outcome == VIOLATION:
         sound = cpt_margin <= tol.tau_zero and cp_margin > tol.tau_violation and t_margin > tol.tau_zero
@@ -331,7 +319,7 @@ def _cpt_link_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, 
 
 def _wigner_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], str]:
     t, h = a["symmetry"], a["hamiltonian"]
-    truth = _commutant_margin(t, h)
+    truth = _commutant_margin(t.unitary_part, t.antilinear, h)
     effective_gap = tol.gap_tol if a.get("gap_tol") is None else float(a["gap_tol"])
     values, vectors = _spectrum(h)
     sizes = _greedy_clusters(values, effective_gap)

@@ -16,14 +16,13 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatchError, MisuseError
 from .linalg import (
-    _content_key,
-    _Memo,
     as_square_matrix,
     as_state_vector,
     dagger,
     frobenius_norm,
     frozen,
     mat_exp,
+    memoised,
     require_hermitian,
     require_unitary,
 )
@@ -106,22 +105,20 @@ class InvarianceMargin:
     comparison_kind: str
 
 
-_MARGINS = _Memo(8)
-
-
 def invariance_margin(g: SymmetryTransform, a: np.ndarray) -> InvarianceMargin:
     """``||g A g^-1 - A||_F / max(1, ||A||_F)``.
 
     Memoised by the exact content of g's unitary part, its antilinear
     flag and A.
     """
-    arr = as_square_matrix(a)
+    return _margin(g.unitary_part, g.antilinear, as_square_matrix(a), g=g)
 
-    def compute() -> InvarianceMargin:
-        value = frobenius_norm(conjugate_operator(g, arr) - arr) / max(1.0, frobenius_norm(arr))
-        return InvarianceMargin(value=value, comparison_kind=COMMUTANT)
 
-    return _MARGINS(_content_key(g.unitary_part, g.antilinear, arr), compute)
+@memoised(8)
+def _margin(u: np.ndarray, antilinear: bool, arr: np.ndarray, *, g: SymmetryTransform) -> InvarianceMargin:
+    """The margin of A under g, whose unitary part ``u`` and ``antilinear`` flag key it."""
+    value = frobenius_norm(conjugate_operator(g, arr) - arr) / max(1.0, frobenius_norm(arr))
+    return InvarianceMargin(value=value, comparison_kind=COMMUTANT)
 
 
 def time_reversal_consistency(

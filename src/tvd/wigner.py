@@ -18,10 +18,9 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MisuseError, PremiseError
 from .linalg import (
     EigenDecomposition,
-    _content_key,
-    _Memo,
     frobenius_norm,
     herm_eig,
+    memoised,
     norm_deviation,
     require_hermitian,
     require_normalized,
@@ -126,21 +125,17 @@ def _displacement(t: SymmetryTransform, vec: np.ndarray) -> float:
     return max(0.0, 1.0 - abs(complex(np.vdot(apply(t, vec), vec))))
 
 
-_RAYS = _Memo(4)
-
-
-def _eigenrays(arr: np.ndarray, t: SymmetryTransform, decomp: EigenDecomposition) -> tuple[tuple[float, float], ...]:
+@memoised(4)
+def _eigenrays(
+    arr: np.ndarray, u: np.ndarray, antilinear: bool, *, t: SymmetryTransform, decomp: EigenDecomposition
+) -> tuple[tuple[float, float], ...]:
     """``(norm deviation, ray displacement)`` under t of every column of ``decomp = herm_eig(arr)``.
 
-    Memoised by the content of ``arr``, t's unitary part and its antilinear
-    flag, so all requests against one (H, T) pair share one table.
+    Memoised by the content of ``arr`` and of t's unitary part ``u`` and
+    ``antilinear`` flag, so all requests against one (H, T) pair share one table.
     """
-
-    def compute() -> tuple[tuple[float, float], ...]:
-        vectors = (decomp.vector(k) for k in range(decomp.eigenvalues.size))
-        return tuple((norm_deviation(vec), _displacement(t, vec)) for vec in vectors)
-
-    return _RAYS(_content_key(arr, t.unitary_part, t.antilinear), compute)
+    vectors = (decomp.vector(k) for k in range(decomp.eigenvalues.size))
+    return tuple((norm_deviation(vec), _displacement(t, vec)) for vec in vectors)
 
 
 def wigner_principle_check(
@@ -181,7 +176,7 @@ def wigner_principle_check(
     # within the widened (hysteresis) limit. The gap an end level lacks is
     # NaN, which is within no limit, not even an overflowed one.
     crowded = np.diff(values, prepend=np.nan, append=np.nan) <= confident_limit
-    rays = _eigenrays(arr, t, decomp)
+    rays = _eigenrays(arr, t.unitary_part, t.antilinear, t=t, decomp=decomp)
     best, best_delta, band_hit = -1, -1.0, False
     for i in simple:
         norm_dev, delta = rays[i]

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from tvd import (
+    Provenance,
     Report,
+    Tolerances,
     VerdictRecord,
     Verdict,
     oracle_compare,
@@ -59,6 +61,14 @@ def test_check_text_format_includes_witness_summary(capsysbinary):
     assert "Violation" in verdict_lines[0]
     assert "margin=" in verdict_lines[0]
     assert "|" in verdict_lines[0]
+
+
+def test_text_witness_summary_prints_a_bool_as_a_bool():
+    verdict = Verdict.no_conclusion("premise-unmet", witness={"applicable": False, "count": 2, "note": "n"})
+    report = Report(records=(VerdictRecord("wigner", verdict),), provenance=Provenance(Tolerances(), None))
+    assert runner.render_text(report) == (
+        "[0] wigner: NoConclusion(premise-unmet) margin=0.000000e+00 | applicable=False, count=2, note='n'\n"
+    )
 
 
 def test_check_missing_file_names_the_path(capsysbinary):
@@ -441,7 +451,7 @@ def test_selftest_failing_suite_exits_one(capsysbinary, monkeypatch):
     assert text.endswith("selftest: FAILED\n")
 
 
-@pytest.mark.parametrize("tol_zero, tol_violation", [("0.1", "0.5"), ("0.3", "0.9")])
+@pytest.mark.parametrize("tol_zero, tol_violation", [("0.1", "0.5"), ("0.3", "0.9"), ("0.5", "0.6")])
 def test_selftest_passes_at_loose_tolerances(capsysbinary, tol_zero, tol_violation):
     # the suites judge verdicts against the run's thresholds, not fixed margins
     code, out, _ = run_cli(

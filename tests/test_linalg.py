@@ -20,7 +20,7 @@ from tvd import (
     random_unitary,
 )
 from tvd import runner
-from tvd.linalg import _SPECTRA
+from tvd.linalg import _decompose, as_state_vector
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -89,10 +89,24 @@ def test_herm_eig_reconstruction_and_order():
         assert frobenius_norm(recon - h) <= 1e-10 * max(1.0, frobenius_norm(h))
 
 
+@pytest.mark.parametrize(
+    "value, dim, error, message",
+    [
+        ([], None, DimensionMismatchError, "state is empty"),
+        ([1.0, 0.0, 0.0], 2, DimensionMismatchError, "state has length 3, expected 2"),
+        ([1.0, np.nan], None, ClassificationError, "state has non-finite entries"),
+    ],
+)
+def test_as_state_vector_rejects_with_its_message(value, dim, error, message):
+    with pytest.raises(error) as err:
+        as_state_vector(value, dim=dim)
+    assert str(err.value) == message
+
+
 def test_herm_eig_is_deterministic():
     h = random_hermitian(5, seed=33)
     first = herm_eig(h)
-    _SPECTRA.clear()
+    _decompose.clear()
     second = herm_eig(h.copy())
     assert second is not first
     assert np.array_equal(first.eigenvalues, second.eigenvalues)

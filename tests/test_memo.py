@@ -33,29 +33,28 @@ from tvd import (
     symmetrize_invariant,
 )
 from tvd import linalg, runner, symmetry, wigner
-from tvd.linalg import _DEVIATIONS, _MEMOS, _SPECTRA
+from tvd.linalg import _MEMOS
 from tvd.symmetry import compose, inverse
 
 from conftest import clear_memos
 
-DETECTOR_MEMOS = (_SPECTRA, symmetry._MARGINS, wigner._RAYS)
+DETECTOR_MEMOS = (linalg._decompose, symmetry._margin, wigner._eigenrays)
 ORACLE_MEMOS = (
-    runner._ORACLE_SPECTRA,
-    runner._ORACLE_MARGINS,
-    runner._ORACLE_REVERSALS,
-    runner._ORACLE_S_COMMUTANTS,
-    runner._ORACLE_S_DEFECTS,
+    runner._spectrum,
+    runner._commutant_margin,
+    runner._derived_reversal,
+    runner._s_commutant,
+    runner._reversal_defect,
 )
-# the Hermitian and unitary input checks, which both sides run: building a
-# SymmetryTransform runs one, also for the reversal the oracle derives; the
-# table decides only whether input is rejected, never a verdict or a truth
-CHECK_MEMOS = (_DEVIATIONS,)
+# the Hermitian and unitary input checks, which the detector path runs, and
+# building a SymmetryTransform; the oracle builds none
+CHECK_MEMOS = (linalg._deviation,)
 SWAP = SymmetryTransform(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), antilinear=False, label="R")
 FLIP = SymmetryTransform(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), antilinear=True, label="T")
 
 
 def eigenrays(t: SymmetryTransform, h: np.ndarray) -> tuple:
-    return wigner._eigenrays(h, t, herm_eig(h))
+    return wigner._eigenrays(h, t.unitary_part, t.antilinear, t=t, decomp=herm_eig(h))
 
 
 # one call per memo table: (inputs built from a seed, the memoised call);
@@ -63,13 +62,13 @@ def eigenrays(t: SymmetryTransform, h: np.ndarray) -> tuple:
 CALLS = {
     "herm_eig": (lambda seed: (random_hermitian(2, seed),), herm_eig),
     "invariance_margin": (lambda seed: (SWAP, random_hermitian(2, seed)), invariance_margin),
-    "hermitian_deviation": (lambda seed: (random_unitary(2, seed),), linalg._hermitian_deviation),
-    "unitary_deviation": (lambda seed: (random_unitary(2, seed),), linalg._unitary_deviation),
+    "hermitian_deviation": (lambda seed: ("hermitian", random_unitary(2, seed)), linalg._deviation),
+    "unitary_deviation": (lambda seed: ("unitary", random_unitary(2, seed)), linalg._deviation),
     "eigenrays": (lambda seed: (FLIP, random_hermitian(2, seed)), eigenrays),
     "oracle_spectrum": (lambda seed: (random_hermitian(2, seed),), runner._spectrum),
-    "oracle_margin": (lambda seed: (SWAP, random_hermitian(2, seed)), runner._commutant_margin),
-    "oracle_s_commutant": (lambda seed: (SWAP, random_unitary(2, seed)), runner._s_commutant),
-    "oracle_reversal_defect": (lambda seed: (FLIP, random_unitary(2, seed)), runner._reversal_defect),
+    "oracle_margin": (lambda seed: (SWAP.unitary_part, False, random_hermitian(2, seed)), runner._commutant_margin),
+    "oracle_s_commutant": (lambda seed: (SWAP.unitary_part, random_unitary(2, seed)), runner._s_commutant),
+    "oracle_reversal_defect": (lambda seed: (FLIP.unitary_part, random_unitary(2, seed)), runner._reversal_defect),
 }
 
 
@@ -141,7 +140,7 @@ def test_unitary_check_runs_on_every_call():
         with pytest.raises(ClassificationError, match="is not unitary"):
             linalg.require_unitary(nearly, tol=strict.tau_zero)
     assert linalg.require_unitary(nearly) is nearly
-    assert len(_DEVIATIONS.table) == 2
+    assert len(linalg._deviation.table) == 2
 
 
 def test_every_scalar_input_is_part_of_the_key():
@@ -151,18 +150,16 @@ def test_every_scalar_input_is_part_of_the_key():
     # same unitary part, linear against antilinear
     one, k = SymmetryTransform(np.eye(3), antilinear=False), conjugation(3)
     assert invariance_margin(one, h).value == 0.0 < invariance_margin(k, h).value
-    assert runner._commutant_margin(one, h) == 0.0 < runner._commutant_margin(k, h)
+    margin = runner._commutant_margin
+    assert margin(one.unitary_part, False, h) == 0.0 < margin(k.unitary_part, True, h)
     # one content, checked for Hermiticity and for unitarity
     twice = 2.0 * np.eye(3, dtype=complex)
-    assert linalg._hermitian_deviation(twice) == 0.0 < linalg._unitary_deviation(twice)
-
-
-def cp_transform(seed: int) -> SymmetryTransform:
-    return SymmetryTransform(random_unitary(2, seed), antilinear=False, label="CP")
+    assert linalg._deviation("hermitian", twice) == 0.0 < linalg._deviation("unitary", twice)
 
 
 def test_tables_stay_within_bounds_and_evict_the_oldest_first():
-    calls = {**CALLS, "derived_reversal": (lambda seed: (cp_transform(seed), conjugation(2)), runner._derived_reversal)}
+    derived = (lambda seed: (random_unitary(2, seed), False, np.eye(2), True), runner._derived_reversal)
+    calls = {**CALLS, "derived_reversal": derived}
     # one table at a time, since some tables serve several calls
     for name, (make, call) in calls.items():
         results = [call(*make(seed)) for seed in range(20)]
@@ -275,14 +272,16 @@ def test_oracle_never_reads_the_detector_tables():
     report = run_scenario(scenario, scenario.effective_tolerances())
     assert all(m.table for m in DETECTOR_MEMOS + CHECK_MEMOS)
     assert not any(m.table for m in ORACLE_MEMOS)
-    detector_keys = [list(m.table) for m in DETECTOR_MEMOS]
+    # a lookup in an empty table fills it, so an oracle that read one would show
+    for memo in DETECTOR_MEMOS + CHECK_MEMOS:
+        memo.clear()
     oracle_compare(scenario, report, scenario.effective_tolerances())
     assert all(m.table for m in ORACLE_MEMOS)
-    assert [list(m.table) for m in DETECTOR_MEMOS] == detector_keys
+    assert not any(m.table for m in DETECTOR_MEMOS + CHECK_MEMOS)
 
 
 def test_derived_reversal_table_is_the_oracles_own_and_cold_memos_clears_it():
-    reversals = runner._ORACLE_REVERSALS
+    reversals = runner._derived_reversal
     assert reversals in _MEMOS
     assert all(reversals is not m for m in DETECTOR_MEMOS)
     scenario = repeating_scenario(3)
@@ -291,9 +290,11 @@ def test_derived_reversal_table_is_the_oracles_own_and_cold_memos_clears_it():
     assert not reversals.table
     oracle_compare(scenario, report, tol)
     # three cpt_link requests on one (CP, CPT) pair build one reversal
-    (reversal,) = reversals.table.values()
+    ((reversal, antilinear),) = reversals.table.values()
     cp, cpt = scenario.symmetries["R"], scenario.symmetries["T"]
-    assert as_bytes(reversal) == as_bytes(compose(inverse(cp), cpt, label="T"))
+    derived = compose(inverse(cp), cpt)
+    assert (as_bytes(reversal), antilinear) == (as_bytes(derived.unitary_part), derived.antilinear)
+    assert not reversal.flags.writeable
     assert all(reversal is not v for m in DETECTOR_MEMOS for v in m.table.values())
     clear_memos()
     assert not reversals.table
@@ -406,6 +407,6 @@ def test_one_table_entry_per_operator_pair(monkeypatch):
     oracle_compare(scenario, report, tol)
     # every eigenvector once against K and once against T, however many requests
     assert sorted(computed) == ["K"] * scenario.dim + ["T"] * scenario.dim
-    assert len(wigner._RAYS.table) == 2
-    assert len(runner._ORACLE_S_DEFECTS.table) == 2
-    assert len(runner._ORACLE_S_COMMUTANTS.table) == 2
+    assert len(wigner._eigenrays.table) == 2
+    assert len(runner._reversal_defect.table) == 2
+    assert len(runner._s_commutant.table) == 2

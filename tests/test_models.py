@@ -14,10 +14,12 @@ from tvd import (
     conjugation,
     edm_model,
     frobenius_norm,
+    invariance_margin,
     kaon_decay_scattering_model,
     kaon_oscillation_model,
     kramers_square,
     random_hermitian,
+    random_unitary,
     spin_operators,
     symmetrize_invariant,
     t_symmetric_smatrix,
@@ -138,6 +140,15 @@ def test_symmetrize_is_idempotent_and_commuting():
             assert np.linalg.norm(projected - projected.conj().T) <= 1e-12
             assert np.allclose(symmetrize_invariant(projected, r), projected, atol=1e-12)
             assert frobenius_norm(conjugate_operator(r, projected) - projected) <= 1e-12
+
+
+def test_symmetrize_accepts_an_involution_near_the_unitarity_bound():
+    # ||R^dag R - I||_F = ||R^2 - I||_F = 6e-10, both within tau_zero; a
+    # transform built from R^2 would be 1.2e-9 from unitary
+    v = random_unitary(4, seed=5)
+    r = SymmetryTransform((v * [1.0, 1.0, -1.0, -1.0]) @ v.conj().T * math.sqrt(1.0 + 3e-10), antilinear=False)
+    h = symmetrize_invariant(random_hermitian(4, seed=6), r)
+    assert invariance_margin(r, h).value <= 1e-9
 
 
 def test_symmetrize_rejects_non_involutive_square():

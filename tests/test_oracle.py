@@ -25,15 +25,21 @@ from tvd import (
     VerdictRecord,
     build_s_matrix,
     conjugation,
+    dagger,
     invariance_margin,
     mat_exp,
     oracle_compare,
+    frobenius_norm,
     parse_scenario,
+    random_hermitian,
     random_unitary,
     run_scenario,
+    serialize_report,
     serialize_scenario,
+    shipped_scenario_paths,
 )
 from tvd import runner, scenario as schema
+from tvd.symmetry import compose, inverse
 from tvd.cli import main
 from tvd.selftest import fact1_instances
 
@@ -317,7 +323,8 @@ def test_s_matrix_inference_oracle_records_the_full_hamiltonian_margin():
     assert verdict.outcome == VIOLATION
     assert record.agreed
     margin = record.truths["full_hamiltonian_margin"]
-    assert margin == runner._commutant_margin(cp, scenario.matrices["h0"] + scenario.matrices["v"])
+    full = scenario.matrices["h0"] + scenario.matrices["v"]
+    assert margin == runner._commutant_margin(cp.unitary_part, cp.antilinear, full)
     assert margin > DEFAULT_TOLERANCES.tau_violation
     without_v = dataclasses.replace(built, matrices={k: m for k, m in built.matrices.items() if k != "v"})
     assert "full_hamiltonian_margin" not in oracle_on(without_v)[1].truths
@@ -422,3 +429,62 @@ def test_each_named_symmetry_is_held_to_the_runs_tau_zero_once(monkeypatch):
     assert run_scenario(scenario, DEFAULT_TOLERANCES).records[3].verdict.outcome != VIOLATION
     with pytest.raises(ScenarioError, match=r"^requests\[2\]: unitary_part of T is not unitary \(deviation 8\.000e-10\)$"):
         run_scenario(scenario, dataclasses.replace(DEFAULT_TOLERANCES, tau_zero=1e-13, tau_violation=1e-10))
+
+
+def near_bound_cpt_scenario() -> Scenario:
+    """A Haar CP and a Haar antilinear CPT, each scaled by sqrt(1 + 3e-10), and a random H."""
+    scale = np.sqrt(1.0 + 3e-10)
+    return Scenario(
+        dim=4,
+        matrices={"hamiltonian": random_hermitian(4, seed=21)},
+        symmetries={
+            "CP": SymmetryTransform(random_unitary(4, seed=22) * scale, antilinear=False, label="CP"),
+            "CPT": SymmetryTransform(random_unitary(4, seed=23) * scale, antilinear=True, label="CPT"),
+        },
+        requests=(Request("cpt_link", {"cpt_symmetry": "CPT", "cp_symmetry": "CP"}),),
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_cpt_link_inputs_near_the_unitarity_bound_are_not_rechecked_as_a_product(tmp_path, capsysbinary, command):
+    # each input is 6e-10 from unitary, within tau_zero, while CP^-1 CPT is
+    # 1.2e-9 away: the oracle derives the reversal as an array, never as input
+    scenario = parse_scenario(serialize_scenario(near_bound_cpt_scenario()))
+    for g in scenario.symmetries.values():
+        deviation = frobenius_norm(dagger(g.unitary_part) @ g.unitary_part - np.eye(4))
+        assert 5e-10 < deviation <= DEFAULT_TOLERANCES.tau_zero
+    _, record = oracle_on(scenario)
+    assert record.agreed, record.note
+    target = tmp_path / "near_bound.json"
+    target.write_bytes(serialize_scenario(scenario))
+    code = main([command, "--scenario", str(target)])
+    captured = capsysbinary.readouterr()
+    assert (code, captured.err) == (0, b"")
+
+
+@pytest.mark.parametrize("cp_antilinear, cpt_antilinear", itertools.product([False, True], repeat=2))
+def test_derived_reversal_has_the_bytes_of_the_composed_transform(cp_antilinear, cpt_antilinear):
+    for seed in range(5):
+        cp = SymmetryTransform(random_unitary(5, seed), antilinear=cp_antilinear)
+        cpt = SymmetryTransform(random_unitary(5, seed + 5), antilinear=cpt_antilinear)
+        parts = (cp.unitary_part, cp.antilinear, cpt.unitary_part, cpt.antilinear)
+        unitary_part, antilinear = runner._derived_reversal(*parts)
+        composed = compose(inverse(cp), cpt)
+        assert (unitary_part.tobytes(), antilinear) == (composed.unitary_part.tobytes(), composed.antilinear)
+
+
+@pytest.mark.parametrize("name", sorted(shipped_scenario_paths()))
+def test_run_request_gives_the_verdicts_of_run_scenario(name):
+    scenario = parse_scenario(shipped_scenario_paths()[name].read_bytes())
+    tol = scenario.effective_tolerances()
+    report = run_scenario(scenario, tol)
+    records = tuple(VerdictRecord(r.detector, runner.run_request(scenario, r, tol)) for r in scenario.requests)
+    assert serialize_report(dataclasses.replace(report, records=records)) == serialize_report(report)
+
+
+def test_oracle_compare_rejects_a_report_of_another_length():
+    scenario = parse_scenario(shipped_scenario_paths()["kaon_decay"].read_bytes())
+    report = run_scenario(scenario, DEFAULT_TOLERANCES)
+    short = dataclasses.replace(report, records=report.records[:-1])
+    with pytest.raises(ScenarioError, match="^report does not match the scenario request list$"):
+        oracle_compare(scenario, short, DEFAULT_TOLERANCES)

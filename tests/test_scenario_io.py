@@ -626,6 +626,20 @@ def test_malformed_payload_gives_the_nested_result(case):
     assert_parses_like_nested(with_payload(*PAYLOAD_CASES[case]))
 
 
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b'{"schema_version":1,"dim":"[[1', "Unterminated string"),
+        (b'{"schema_version":1,"dim":1,"states":{"s":[[1,0]', "Expecting"),
+    ],
+    ids=["bracket_in_unterminated_string", "unclosed_array"],
+)
+def test_a_document_the_splice_cannot_cut_gets_the_nested_error(data, error):
+    assert tvd.scenario._splice(data) is None
+    kind, message, _ = assert_parses_like_nested(data)
+    assert kind == "error" and message.startswith("invalid JSON: ") and error in message
+
+
 def test_label_holding_brackets_keeps_the_compact_route():
     data = FROZEN_SCENARIO_BYTES.replace(b'"T"', b'"[[1,0]]"')
     assert outcome(parse_compact_only, data) == assert_parses_like_nested(data)
