@@ -9,9 +9,8 @@ produce a Violation verdict.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -24,19 +23,16 @@ class Tolerances:
     gap_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("tau_zero", "tau_violation", "tau_eig", "gap_tol"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             # a bool is an int, and an infinite tau_violation could never be reached
             if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
-                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
+                raise ConfigError(f"{f.name} must be a positive finite number, got {value!r}")
         if self.tau_zero >= self.tau_violation:
             raise ConfigError(
                 f"tau_zero ({self.tau_zero}) must be below tau_violation "
                 f"({self.tau_violation})"
             )
-
-    def replace(self, **overrides: float) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
 
 
 DEFAULT_TOLERANCES = Tolerances()

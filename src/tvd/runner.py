@@ -144,21 +144,6 @@ def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _greedy_clusters(values: np.ndarray, gap_tol: float) -> list[int]:
-    spread = float(values[-1] - values[0]) if values.size > 1 else 0.0
-    limit = gap_tol * max(1.0, spread)
-    sizes = []
-    count = 1
-    for k in range(1, values.size):
-        if values[k] - values[k - 1] <= limit:
-            count += 1
-        else:
-            sizes.append(count)
-            count = 1
-    sizes.append(count)
-    return sizes
-
-
 def _applied(g: SymmetryTransform, psi: np.ndarray) -> np.ndarray:
     vec = psi.conj() if g.antilinear else psi
     return g.unitary_part @ vec
@@ -202,28 +187,6 @@ def _weak_breaking_moves(margin: float, h: np.ndarray, dev_i: float, dev_f: floa
         and commutator > _COMMUTATOR_FLOOR * h_norm
         and 2.0 * abs(time) * commutator >= move
     )
-
-
-def _wigner_mandated(
-    t: SymmetryTransform,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    sizes: list[int],
-    effective_gap: float,
-    tol: Tolerances,
-) -> bool:
-    """Some simple eigenray is clearly displaced and clearly isolated."""
-    spread = float(values[-1] - values[0]) if values.size > 1 else 0.0
-    confident_limit = effective_gap * (tol.tau_violation / tol.tau_zero) * max(1.0, spread)
-    # the gaps beside each level; an end level's missing one is NaN, within no limit
-    crowded = np.diff(values, prepend=np.nan, append=np.nan) <= 2.0 * confident_limit
-    for level, size in zip(np.cumsum([0, *sizes]), sizes):
-        if size == 1 and not (crowded[level] or crowded[level + 1]):
-            psi = vectors[:, level]
-            displacement = max(0.0, 1.0 - abs(complex(np.vdot(_applied(t, psi), psi))))
-            if _clearly_moved(displacement, tol):
-                return True
-    return False
 
 
 # Each oracle rule returns its truths and a note that is empty when the
@@ -322,12 +285,22 @@ def _wigner_oracle(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, fl
     truth = _commutant_margin(t.unitary_part, t.antilinear, h)
     effective_gap = tol.gap_tol if a.get("gap_tol") is None else float(a["gap_tol"])
     values, vectors = _spectrum(h)
-    sizes = _greedy_clusters(values, effective_gap)
-    truths = {"commutant_margin": truth, "non_degenerate_levels": float(sizes.count(1))}
+    spread = float(values[-1] - values[0]) if values.size > 1 else 0.0
+    # the nearer gap beside each level; an end level's missing one is a NaN pad,
+    # which fmin passes over and which is within no limit
+    gaps = np.diff(values, prepend=np.nan, append=np.nan)
+    nearest = np.fmin(gaps[:-1], gaps[1:])
+    simple = ~(nearest <= effective_gap * max(1.0, spread))
+    truths = {"commutant_margin": truth, "non_degenerate_levels": float(np.count_nonzero(simple))}
     if outcome == VIOLATION:
-        sound = truth > tol.tau_zero and 1 in sizes
+        sound = truth > tol.tau_zero and bool(simple.any())
         return truths, "" if sound else "violation verdict but T commutes with H or no simple level exists"
-    mandated = _wigner_mandated(t, values, vectors, sizes, effective_gap, tol)
+    # tau_violation > tau_zero, so this limit is the wider one and keeps only simple levels
+    confident_limit = effective_gap * (tol.tau_violation / tol.tau_zero) * max(1.0, spread)
+    mandated = any(
+        _clearly_moved(1.0 - abs(complex(np.vdot(_applied(t, vectors[:, k]), vectors[:, k]))), tol)
+        for k in np.flatnonzero(~(nearest <= 2.0 * confident_limit))
+    )
     return truths, "no-conclusion verdict but an isolated eigenray clearly moves" if mandated else ""
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -549,43 +549,22 @@ class Report:
     oracle: tuple[OracleRecord, ...] | None = None
 
 
+def _fields(record: object) -> dict[str, object]:
+    """A record's dataclass fields by name; a mapping field is copied one level deep."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: dict(value) if isinstance(value, Mapping) else value for name, value in values.items()}
+
+
 def report_jsonable(report: Report) -> dict:
     doc: dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "records": [
-            {
-                "index": i,
-                "detector": rec.detector,
-                "outcome": rec.verdict.outcome,
-                "violated_symmetry": rec.verdict.violated_symmetry,
-                "margin": rec.verdict.margin,
-                "reason": rec.verdict.reason,
-                "witness": dict(rec.verdict.witness),
-            }
-            for i, rec in enumerate(report.records)
+            {"index": i, "detector": rec.detector, **_fields(rec.verdict)} for i, rec in enumerate(report.records)
         ],
-        "provenance": {
-            "tolerances": {
-                "tau_zero": report.provenance.tolerances.tau_zero,
-                "tau_violation": report.provenance.tolerances.tau_violation,
-                "tau_eig": report.provenance.tolerances.tau_eig,
-                "gap_tol": report.provenance.tolerances.gap_tol,
-            },
-            "seed": report.provenance.seed,
-            "tool_version": report.provenance.tool_version,
-        },
+        "provenance": asdict(report.provenance),
     }
     if report.oracle is not None:
-        doc["oracle"] = [
-            {
-                "index": i,
-                "detector": rec.detector,
-                "agreed": rec.agreed,
-                "truths": dict(rec.truths),
-                "note": rec.note,
-            }
-            for i, rec in enumerate(report.oracle)
-        ]
+        doc["oracle"] = [{"index": i, **_fields(rec)} for i, rec in enumerate(report.oracle)]
     return doc
 
 

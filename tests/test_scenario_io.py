@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import tracemalloc
@@ -10,13 +11,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvd import (
+    OracleRecord,
+    Provenance,
     Request,
     Scenario,
     ScenarioError,
     SymmetryTransform,
+    Tolerances,
+    Verdict,
     build_model_scenario,
     canonical_dumps,
+    oracle_compare,
     parse_scenario,
+    report_jsonable,
     run_scenario,
     scenario_jsonable,
     serialize_report,
@@ -199,6 +206,27 @@ def test_report_bytes_match_golden_file():
     scenario = parse_scenario(path.read_bytes())
     report = run_scenario(scenario, scenario.effective_tolerances())
     assert serialize_report(report) == (DATA_DIR / "golden_report.json").read_bytes()
+
+
+def field_names(cls: type) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_report_document_keys_are_the_record_fields_and_its_mappings_are_copies():
+    scenario = parse_scenario(shipped_scenario_paths()["cpt_link_toy"].read_bytes())
+    report = run_scenario(scenario, scenario.effective_tolerances())
+    report = dataclasses.replace(report, oracle=oracle_compare(scenario, report))
+    before = serialize_report(report)
+    doc = report_jsonable(report)
+    assert [rec.keys() for rec in doc["records"]] == [{"index", "detector"} | field_names(Verdict)] * len(report.records)
+    assert [rec.keys() for rec in doc["oracle"]] == [{"index"} | field_names(OracleRecord)] * len(report.records)
+    assert doc["provenance"].keys() == field_names(Provenance)
+    assert doc["provenance"]["tolerances"].keys() == field_names(Tolerances)
+    for rec in doc["records"]:
+        rec["witness"]["added"] = 1.0
+    for rec in doc["oracle"]:
+        rec["truths"].clear()
+    assert serialize_report(report) == before
 
 
 def test_shipped_scenarios_round_trip():

@@ -3,7 +3,8 @@
 Only ``linalg`` names the memo table class and its key builder; every other
 module declares a cached quantity with ``linalg.memoised``. The oracle in
 ``runner`` derives its reversal with array arithmetic, never through the
-detector-side ``compose`` and ``inverse``.
+detector-side ``compose`` and ``inverse``, and it names nothing of ``wigner``
+but the detector it cross-checks, so its spectrum rule stays its own.
 """
 
 import ast
@@ -35,3 +36,15 @@ def test_only_linalg_names_the_memo_table_and_its_key(module):
 
 def test_runner_does_not_import_the_transform_algebra():
     assert not names_in("runner.py") & {"compose", "inverse"}
+
+
+def test_runner_names_no_wigner_helper_but_the_detector():
+    tree = ast.parse((PACKAGE / "wigner.py").read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    assert "spectrum_clusters" in defined
+    assert names_in("runner.py") & defined == {"wigner_principle_check"}

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvd import (
     DEFAULT_TOLERANCES,
@@ -34,6 +37,7 @@ from tvd import (
     spectrum_clusters,
     wigner_principle_check,
 )
+from tvd.runner import oracle_record
 
 SIGMA_Y_FLIP = SymmetryTransform(
     np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), antilinear=True, label="T"
@@ -193,7 +197,7 @@ def test_kramers_verify_not_applicable_without_commutation():
 def test_kramers_verify_negative_control_flags_odd_cluster():
     # loosened thresholds force the premises through on a split spectrum
     h = 0.1 * np.diag([1.0, -1.0]).astype(complex)
-    loose = DEFAULT_TOLERANCES.replace(tau_zero=0.5, tau_violation=1.0)
+    loose = dataclasses.replace(DEFAULT_TOLERANCES, tau_zero=0.5, tau_violation=1.0)
     report = kramers_degeneracy_verify(h, SIGMA_Y_FLIP, tol=loose)
     assert report.applicable
     assert report.passed is False
@@ -311,3 +315,63 @@ def test_oracle_wants_both_gaps_above_twice_the_confident_limit(side, clear):
     if clear:
         assert record.note == "no-conclusion verdict but an isolated eigenray clearly moves"
 
+
+# The oracle finds simple levels with a gap rule of its own. It must count the
+# multiplicity-1 clusters of spectrum_clusters, also where a gap sits at
+# gap_tol * max(1, spread) or one float either side of it.
+
+
+@st.composite
+def spectra_with_a_gap_at_the_cluster_limit(draw):
+    """(ascending diagonal, gap_tol): the gap up from level 0.0 is the cluster limit, or one float either side of it."""
+    gap_tol = draw(st.floats(1e-12, 0.2))
+    shape = draw(st.sampled_from(["dim 1", "dim 2", "end", "interior"]))
+    if shape == "dim 1":
+        return [draw(st.floats(-10.0, 10.0))], gap_tol
+    if shape == "dim 2":
+        # the spread is the gap, below 1, so the limit is gap_tol itself
+        below, limit, above = [0.0], gap_tol, []
+    elif shape == "end":
+        hi = draw(st.floats(0.5, 100.0))
+        below, limit, above = [0.0], gap_tol * max(1.0, hi), [hi]
+    else:
+        spread = draw(st.floats(0.6, 100.0))
+        lo = -spread * draw(st.floats(0.1, 0.5))
+        hi = lo + spread
+        below, limit, above = [lo, 0.0], gap_tol * max(1.0, hi - lo), [hi]
+    level = float(np.nextafter(limit, draw(st.sampled_from([-np.inf, limit, np.inf]))))
+    values = [*below, level, *above]
+    if draw(st.booleans()):
+        # the mirror image has the same float gaps and moves an end gap to the top end
+        values = [-v + 0.0 for v in reversed(values)]
+    return values, gap_tol
+
+
+def _wigner_oracle_record(h: np.ndarray, t: SymmetryTransform, gap_tol: float, verdict: Verdict):
+    scenario = Scenario(
+        dim=h.shape[0],
+        matrices={"hamiltonian": h},
+        symmetries={"T": t},
+        requests=(Request("wigner", {"symmetry": "T", "gap_tol": gap_tol}),),
+    )
+    return oracle_record(scenario, scenario.requests[0], verdict, DEFAULT_TOLERANCES)
+
+
+@given(spectra_with_a_gap_at_the_cluster_limit())
+def test_oracle_counts_the_simple_clusters_of_spectrum_clusters(case):
+    values, gap_tol = case
+    h = np.diag(values).astype(complex)
+    record = _wigner_oracle_record(h, conjugation(len(values)), gap_tol, Verdict.no_conclusion(REASON_BELOW_THRESHOLD))
+    simple = spectrum_clusters(np.linalg.eigh(h)[0], gap_tol).multiplicities.count(1)
+    assert record.truths["non_degenerate_levels"] == simple
+
+
+@pytest.mark.parametrize("clustered", [True, False], ids=["gap-at-the-limit", "gap-one-float-over"])
+def test_oracle_accepts_a_violation_only_with_a_simple_level(clustered):
+    gap_tol = 1e-3
+    gap = gap_tol if clustered else float(np.nextafter(gap_tol, 1.0))
+    forged = Verdict.violation("T", 1.0, {"level_index": 0})
+    record = _wigner_oracle_record(np.diag([0.0, gap]).astype(complex), _swap_reversal(2, 0, 1), gap_tol, forged)
+    assert record.truths["commutant_margin"] > DEFAULT_TOLERANCES.tau_zero
+    assert record.truths["non_degenerate_levels"] == (0.0 if clustered else 2.0)
+    assert record.agreed is not clustered
