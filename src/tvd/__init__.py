@@ -19,6 +19,8 @@ oracle in ``runner`` re-derives every verdict from first principles.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .builders import MODEL_NAMES, build_model_scenario, shipped_scenario_paths
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .curie import s_matrix_inference, scattering_curie_check, unitary_curie_check
@@ -120,99 +122,7 @@ from .wigner import (
     wigner_principle_check,
 )
 
-__all__ = [
-    "AmplitudePair",
-    "COMMUTANT",
-    "ChainRecord",
-    "ClassificationError",
-    "Cluster",
-    "ConfigError",
-    "DEFAULT_TOLERANCES",
-    "DETECTORS",
-    "DimensionMismatchError",
-    "EdmModel",
-    "EigenDecomposition",
-    "InvarianceMargin",
-    "KaonDecayModel",
-    "KaonModel",
-    "KramersReport",
-    "MINUS_IDENTITY",
-    "MODEL_NAMES",
-    "MisuseError",
-    "NO_CONCLUSION",
-    "OTHER",
-    "OracleRecord",
-    "PLUS_IDENTITY",
-    "ParameterError",
-    "PremiseError",
-    "Provenance",
-    "REASON_BELOW_THRESHOLD",
-    "REASON_INDETERMINATE",
-    "REASON_PREMISE_UNMET",
-    "Report",
-    "Request",
-    "SCHEMA_VERSION",
-    "SUITES",
-    "Scenario",
-    "ScenarioError",
-    "SpectrumClusters",
-    "SpinAlgebra",
-    "SuiteResult",
-    "SymmetryTransform",
-    "TIME_REVERSAL_UNITARY",
-    "TSquareClass",
-    "Tolerances",
-    "TvdError",
-    "VIOLATION",
-    "Verdict",
-    "VerdictRecord",
-    "amplitude_pair",
-    "apply",
-    "build_model_scenario",
-    "build_s_matrix",
-    "canonical_dumps",
-    "commutator",
-    "compose",
-    "conjugate_operator",
-    "conjugation",
-    "cpt_link_inference",
-    "dagger",
-    "edm_model",
-    "frobenius_norm",
-    "herm_eig",
-    "invariance_margin",
-    "inverse",
-    "kabir_check",
-    "kaon_decay_scattering_model",
-    "kaon_oscillation_model",
-    "kramers_degeneracy_verify",
-    "kramers_square",
-    "mat_exp",
-    "normalize",
-    "oracle_compare",
-    "parse_scenario",
-    "probability_asymmetry",
-    "random_hermitian",
-    "random_unitary",
-    "ray_displacement",
-    "render_text",
-    "report_jsonable",
-    "run_request",
-    "run_scenario",
-    "s_matrix_inference",
-    "scattering_curie_check",
-    "scenario_jsonable",
-    "serialize_report",
-    "serialize_scenario",
-    "shipped_scenario_paths",
-    "spectrum_clusters",
-    "spin_operators",
-    "symmetrize_invariant",
-    "t_symmetric_smatrix",
-    "time_reversal_consistency",
-    "transition_probability",
-    "unitary_curie_check",
-    "wigner_eckart_chain",
-    "wigner_principle_check",
-    "__version__",
-]
+# importing a submodule binds its name here too, so modules are left out
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]
