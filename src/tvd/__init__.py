@@ -14,7 +14,7 @@ procedure returning an explicit verdict with a witness:
 
 Scenario documents bundle matrices, symmetries, states and detector
 requests into canonical JSON; ``run_scenario`` executes them and the
-oracle in ``runner`` re-derives every verdict from first principles.
+rules in ``oracle`` re-derive every verdict from first principles.
 """
 
 __version__ = "0.1.0"
@@ -24,6 +24,7 @@ from types import ModuleType as _ModuleType
 from .builders import MODEL_NAMES, build_model_scenario, shipped_scenario_paths
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .curie import s_matrix_inference, scattering_curie_check, unitary_curie_check
+from .detectors import DETECTORS
 from .errors import (
     ClassificationError,
     ConfigError,
@@ -69,7 +70,6 @@ from .models import (
 )
 from .runner import oracle_compare, render_text, run_request, run_scenario
 from .scenario import (
-    DETECTORS,
     SCHEMA_VERSION,
     OracleRecord,
     Provenance,

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__ as _tool_version
 from .config import Tolerances
+from .detectors import DETECTORS, REFERENCES, request_params
 from .errors import ConfigError, ScenarioError
 from .linalg import frozen, norm_deviation
 from .symmetry import SymmetryTransform
@@ -31,24 +32,6 @@ from .verdict import Verdict
 SCHEMA_VERSION = 1
 
 MATRIX_NAMES = ("hamiltonian", "h0", "v", "smatrix")
-
-# detector name -> (required request fields, optional request fields, required matrices)
-DETECTORS: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
-    "unitary_curie": (("symmetry", "state", "time"), (), ("hamiltonian",)),
-    "scattering_curie": (("symmetry", "state_in", "state_out"), (), ("smatrix",)),
-    "s_matrix_inference": (("symmetry",), (), ("h0", "smatrix")),
-    "kabir": (("symmetry", "state_in", "state_out"), (), ("smatrix",)),
-    "cpt_link": (("cpt_symmetry", "cp_symmetry"), (), ("hamiltonian",)),
-    "wigner": (("symmetry",), ("gap_tol",), ("hamiltonian",)),
-}
-
-# request field -> (the Scenario table whose entry it names, that entry's noun);
-# every other field is a number
-REFERENCES: dict[str, tuple[str, str]] = {
-    **dict.fromkeys(("symmetry", "cpt_symmetry", "cp_symmetry"), ("symmetries", "symmetry")),
-    **dict.fromkeys(("state", "state_in", "state_out"), ("states", "state")),
-}
-
 
 @dataclass(frozen=True)
 class Request:
@@ -316,6 +299,18 @@ def _parse_number(raw: object, path: str, *, positive: bool = False) -> float:
     return float(raw)
 
 
+def _parse_field(tables: dict[str, dict], path: str, name: str, value: object) -> object:
+    """A request field as the parser keeps it: a checked reference, or a number."""
+    field_path = f"{path}.{name}"
+    if name not in REFERENCES:
+        # a time may be any finite number, a gap tolerance only a positive one
+        return _parse_number(value, field_path, positive=name == "gap_tol")
+    table, noun = REFERENCES[name]
+    _expect(isinstance(value, str), f"{noun} reference must be a string", field_path)
+    _expect(value in tables[table], f"unknown {noun} {value!r}", field_path)
+    return value
+
+
 _TOP_FIELDS = ("schema_version", "dim", "matrices", "symmetries", "states", "requests", "tolerances", "seed")
 _TOLERANCE_FIELDS = ("tau_zero", "tau_violation", "gap_tol")
 
@@ -447,25 +442,9 @@ def _parse_document(doc: object, payloads: dict[str, bytes]) -> Scenario:
         _expect("detector" in item, "missing field 'detector'", path)
         detector = item["detector"]
         _expect(detector in DETECTORS, f"unknown detector {detector!r}", f"{path}.detector")
-        required_fields, optional_fields, required_matrices = DETECTORS[detector]
-        _reject_unknown(item, ("detector",) + required_fields + optional_fields, path)
-        params: dict[str, object] = {}
-        for req_field in required_fields:
-            _expect(req_field in item, f"missing field {req_field!r}", path)
-        for name in required_fields + optional_fields:
-            if name not in item:
-                continue
-            value, field_path = item[name], f"{path}.{name}"
-            if name in REFERENCES:
-                table, noun = REFERENCES[name]
-                _expect(isinstance(value, str), f"{noun} reference must be a string", field_path)
-                _expect(value in tables[table], f"unknown {noun} {value!r}", field_path)
-            else:
-                # a time may be any finite number, a gap tolerance only a positive one
-                value = _parse_number(value, field_path, positive=name == "gap_tol")
-            params[name] = value
-        for name in required_matrices:
-            _expect(name in matrices, f"detector {detector!r} needs matrix {name!r}", path)
+        record = DETECTORS[detector]
+        _reject_unknown(item, ("detector",) + record.required + record.optional, path)
+        params = request_params(detector, item, matrices, partial(_parse_field, tables, path), path)
         requests.append(Request(detector=detector, params=params))
 
     return Scenario(

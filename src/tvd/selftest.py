@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .curie import scattering_curie_check, unitary_curie_check
+from .detectors import DETECTORS
 from .errors import PremiseError
 from .kabir import amplitude_pair, probability_asymmetry, transition_probability
 from .linalg import (
@@ -42,7 +43,7 @@ from .models import (
     t_symmetric_smatrix,
     wigner_eckart_chain,
 )
-from .runner import _RUN_ORACLE, run_scenario
+from .runner import run_scenario
 from .scenario import Request, Scenario, parse_scenario, serialize_report, serialize_scenario
 from .symmetry import (
     SymmetryTransform,
@@ -122,9 +123,9 @@ def _half_spin_reversal(dim: int) -> SymmetryTransform:
 
 def _check_soundness(c: _Checker, label: str, detector: str, draws: Iterable[dict], tol: Tolerances) -> None:
     """Run each draw as ``tvd check`` does; a draw is unsound when its oracle rule returns a note."""
-    run, oracle = _RUN_ORACLE[detector]
-    judged = [(args, run(args, tol).outcome) for args in draws]
-    c.check(label, not any(oracle(args, outcome, tol)[1] for args, outcome in judged))
+    record = DETECTORS[detector]
+    judged = [(args, record.run(args, tol).outcome) for args in draws]
+    c.check(label, not any(record.oracle(args, outcome, tol)[1] for args, outcome in judged))
     c.check("violations actually occur", any(outcome == VIOLATION for _, outcome in judged))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from tvd import (
+    DETECTORS,
     Provenance,
     Report,
     Tolerances,
@@ -489,8 +491,8 @@ def test_selftest_at_very_loose_tolerances_runs_every_suite(capsysbinary):
     ],
 )
 def test_selftest_soundness_is_judged_by_the_oracle_table(capsysbinary, monkeypatch, suite, detector, label):
-    run, _ = runner._RUN_ORACLE[detector]
-    monkeypatch.setitem(runner._RUN_ORACLE, detector, (run, lambda args, outcome, tol: ({}, "forged note")))
+    forged = dataclasses.replace(DETECTORS[detector], oracle=lambda args, outcome, tol: ({}, "forged note"))
+    monkeypatch.setitem(DETECTORS, detector, forged)
     code, out, _ = run_cli(capsysbinary, "selftest", "--suite", suite)
     assert code == 1
     assert f"  FAIL {label}\n" in out.decode()

@@ -19,7 +19,7 @@ from tvd import (
     random_hermitian,
     random_unitary,
 )
-from tvd import runner
+from tvd import oracle
 from tvd.linalg import _decompose, as_state_vector
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,7 +183,7 @@ def test_an_overflowing_hermitian_part_has_no_spectrum():
     with pytest.raises(ClassificationError, match="spectrum is not finite"):
         herm_eig(h)
     with pytest.raises(ClassificationError, match="oracle spectrum is not finite"):
-        runner._spectrum(h)
+        oracle._spectrum(h)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

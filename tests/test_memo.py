@@ -32,7 +32,7 @@ from tvd import (
     serialize_report,
     symmetrize_invariant,
 )
-from tvd import linalg, runner, symmetry, wigner
+from tvd import linalg, oracle, symmetry, wigner
 from tvd.linalg import _MEMOS
 from tvd.symmetry import compose, inverse
 
@@ -40,11 +40,11 @@ from conftest import clear_memos
 
 DETECTOR_MEMOS = (linalg._decompose, symmetry._margin, wigner._eigenrays)
 ORACLE_MEMOS = (
-    runner._spectrum,
-    runner._commutant_margin,
-    runner._derived_reversal,
-    runner._s_commutant,
-    runner._reversal_defect,
+    oracle._spectrum,
+    oracle._commutant_margin,
+    oracle._derived_reversal,
+    oracle._s_commutant,
+    oracle._reversal_defect,
 )
 # the Hermitian and unitary input checks, which the detector path runs, and
 # building a SymmetryTransform; the oracle builds none
@@ -65,10 +65,10 @@ CALLS = {
     "hermitian_deviation": (lambda seed: ("hermitian", random_unitary(2, seed)), linalg._deviation),
     "unitary_deviation": (lambda seed: ("unitary", random_unitary(2, seed)), linalg._deviation),
     "eigenrays": (lambda seed: (FLIP, random_hermitian(2, seed)), eigenrays),
-    "oracle_spectrum": (lambda seed: (random_hermitian(2, seed),), runner._spectrum),
-    "oracle_margin": (lambda seed: (SWAP.unitary_part, False, random_hermitian(2, seed)), runner._commutant_margin),
-    "oracle_s_commutant": (lambda seed: (SWAP.unitary_part, random_unitary(2, seed)), runner._s_commutant),
-    "oracle_reversal_defect": (lambda seed: (FLIP.unitary_part, random_unitary(2, seed)), runner._reversal_defect),
+    "oracle_spectrum": (lambda seed: (random_hermitian(2, seed),), oracle._spectrum),
+    "oracle_margin": (lambda seed: (SWAP.unitary_part, False, random_hermitian(2, seed)), oracle._commutant_margin),
+    "oracle_s_commutant": (lambda seed: (SWAP.unitary_part, random_unitary(2, seed)), oracle._s_commutant),
+    "oracle_reversal_defect": (lambda seed: (FLIP.unitary_part, random_unitary(2, seed)), oracle._reversal_defect),
 }
 
 
@@ -150,7 +150,7 @@ def test_every_scalar_input_is_part_of_the_key():
     # same unitary part, linear against antilinear
     one, k = SymmetryTransform(np.eye(3), antilinear=False), conjugation(3)
     assert invariance_margin(one, h).value == 0.0 < invariance_margin(k, h).value
-    margin = runner._commutant_margin
+    margin = oracle._commutant_margin
     assert margin(one.unitary_part, False, h) == 0.0 < margin(k.unitary_part, True, h)
     # one content, checked for Hermiticity and for unitarity
     twice = 2.0 * np.eye(3, dtype=complex)
@@ -158,7 +158,7 @@ def test_every_scalar_input_is_part_of_the_key():
 
 
 def test_tables_stay_within_bounds_and_evict_the_oldest_first():
-    derived = (lambda seed: (random_unitary(2, seed), False, np.eye(2), True), runner._derived_reversal)
+    derived = (lambda seed: (random_unitary(2, seed), False, np.eye(2), True), oracle._derived_reversal)
     calls = {**CALLS, "derived_reversal": derived}
     # one table at a time, since some tables serve several calls
     for name, (make, call) in calls.items():
@@ -201,7 +201,7 @@ def test_threads_sharing_the_tables_get_cold_results():
 
 def test_memoised_arrays_are_read_only():
     decomp = herm_eig(random_hermitian(3, seed=2))
-    values, vectors = runner._spectrum(random_hermitian(3, seed=2))
+    values, vectors = oracle._spectrum(random_hermitian(3, seed=2))
     for arr in (decomp.eigenvalues, decomp.eigenvectors, values, vectors):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -281,7 +281,7 @@ def test_oracle_never_reads_the_detector_tables():
 
 
 def test_derived_reversal_table_is_the_oracles_own_and_cold_memos_clears_it():
-    reversals = runner._derived_reversal
+    reversals = oracle._derived_reversal
     assert reversals in _MEMOS
     assert all(reversals is not m for m in DETECTOR_MEMOS)
     scenario = repeating_scenario(3)
@@ -408,5 +408,5 @@ def test_one_table_entry_per_operator_pair(monkeypatch):
     # every eigenvector once against K and once against T, however many requests
     assert sorted(computed) == ["K"] * scenario.dim + ["T"] * scenario.dim
     assert len(wigner._eigenrays.table) == 2
-    assert len(runner._reversal_defect.table) == 2
-    assert len(runner._s_commutant.table) == 2
+    assert len(oracle._reversal_defect.table) == 2
+    assert len(oracle._s_commutant.table) == 2

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tvd import (
     DEFAULT_TOLERANCES,
+    DETECTORS,
     VIOLATION,
     Provenance,
     Report,
@@ -41,7 +42,9 @@ from tvd import (
     shipped_scenario_paths,
     symmetrize_invariant,
 )
-from tvd import runner, scenario as schema
+from tvd import oracle, runner
+from tvd.detectors import REFERENCES
+from tvd.scenario import MATRIX_NAMES
 from tvd.symmetry import compose, inverse
 from tvd.cli import main
 from tvd.selftest import fact1_instances
@@ -150,7 +153,7 @@ def test_weak_breaking_violations_always_agree(log_eps, log_eps_time, level):
 )
 def test_weak_breaking_rule_needs_a_move_a_commutator_and_the_duhamel_bound(margin, dev_f, time, accepted):
     h = np.diag([1.0, 1.0 + margin]).astype(complex)
-    assert runner._weak_breaking_moves(margin, h, 0.0, dev_f, time, DEFAULT_TOLERANCES) is accepted
+    assert oracle._weak_breaking_moves(margin, h, 0.0, dev_f, time, DEFAULT_TOLERANCES) is accepted
 
 
 def test_oracle_cli_accepts_weak_breaking_violation(tmp_path, capsysbinary):
@@ -265,8 +268,8 @@ def parity_draws(draw) -> dict:
 
 def oracle_note(detector: str, args: dict, tol: Tolerances) -> str:
     """The note of the detector's oracle rule on the detector's own verdict."""
-    run, oracle = runner._RUN_ORACLE[detector]
-    return oracle(args, run(args, tol).outcome, tol)[1]
+    record = DETECTORS[detector]
+    return record.oracle(args, record.run(args, tol).outcome, tol)[1]
 
 
 @given(parity_draws())
@@ -287,56 +290,56 @@ def test_kabir_oracle_agrees_over_random_draws(d):
     assert oracle_note("kabir", args, d["tol"]) == ""
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    [
-        # H commutes with the swap exactly
-        weak_curie_scenario(np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex), 100.0),
-        # real H: CPT = K and CP = 1 both commute exactly
-        Scenario(
-            dim=2,
-            matrices={"hamiltonian": np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)},
-            symmetries={
-                "CPT": conjugation(2, label="CPT"),
-                "CP": SymmetryTransform(np.eye(2, dtype=complex), antilinear=False, label="CP"),
-            },
-            requests=(Request("cpt_link", {"cpt_symmetry": "CPT", "cp_symmetry": "CP"}),),
-        ),
-        # S commutes with the swap exactly
-        Scenario(
-            dim=2,
-            matrices={"smatrix": S_EXACT},
-            symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
-            states=EVEN_ODD,
-            requests=(Request("scattering_curie", {"symmetry": "R", "state_in": "even", "state_out": "odd"}),),
-        ),
-        # H0 and S both commute with the swap exactly
-        Scenario(
-            dim=2,
-            matrices={"h0": G, "smatrix": S_EXACT},
-            symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
-            requests=(Request("s_matrix_inference", {"symmetry": "R"}),),
-        ),
-        # symmetric S: K sends it to its inverse
-        Scenario(
-            dim=2,
-            matrices={"smatrix": S_EXACT},
-            symmetries={"T": conjugation(2, label="T")},
-            states=EVEN_ODD,
-            requests=(Request("kabir", {"symmetry": "T", "state_in": "even", "state_out": "odd"}),),
-        ),
-        # real H commutes with K
-        Scenario(
-            dim=2,
-            matrices={"hamiltonian": np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)},
-            symmetries={"T": conjugation(2, label="T")},
-            requests=(Request("wigner", {"symmetry": "T"}),),
-        ),
-    ],
-    ids=["unitary_curie", "cpt_link", "scattering_curie", "s_matrix_inference", "kabir", "wigner"],
-)
-def test_forged_violation_against_a_commuting_symmetry_is_flagged(scenario):
-    assert not forged_violation(scenario).agreed
+# for each detector, a scenario whose symmetry commutes exactly
+COMMUTING = {
+    # H commutes with the swap exactly
+    "unitary_curie": weak_curie_scenario(np.array([[1.0, 0.3], [0.3, 1.0]], dtype=complex), 100.0),
+    # S commutes with the swap exactly
+    "scattering_curie": Scenario(
+        dim=2,
+        matrices={"smatrix": S_EXACT},
+        symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+        states=EVEN_ODD,
+        requests=(Request("scattering_curie", {"symmetry": "R", "state_in": "even", "state_out": "odd"}),),
+    ),
+    # H0 and S both commute with the swap exactly
+    "s_matrix_inference": Scenario(
+        dim=2,
+        matrices={"h0": G, "smatrix": S_EXACT},
+        symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+        requests=(Request("s_matrix_inference", {"symmetry": "R"}),),
+    ),
+    # symmetric S: K sends it to its inverse
+    "kabir": Scenario(
+        dim=2,
+        matrices={"smatrix": S_EXACT},
+        symmetries={"T": conjugation(2, label="T")},
+        states=EVEN_ODD,
+        requests=(Request("kabir", {"symmetry": "T", "state_in": "even", "state_out": "odd"}),),
+    ),
+    # real H: CPT = K and CP = 1 both commute exactly
+    "cpt_link": Scenario(
+        dim=2,
+        matrices={"hamiltonian": np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)},
+        symmetries={
+            "CPT": conjugation(2, label="CPT"),
+            "CP": SymmetryTransform(np.eye(2, dtype=complex), antilinear=False, label="CP"),
+        },
+        requests=(Request("cpt_link", {"cpt_symmetry": "CPT", "cp_symmetry": "CP"}),),
+    ),
+    # real H commutes with K
+    "wigner": Scenario(
+        dim=2,
+        matrices={"hamiltonian": np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)},
+        symmetries={"T": conjugation(2, label="T")},
+        requests=(Request("wigner", {"symmetry": "T"}),),
+    ),
+}
+
+
+@pytest.mark.parametrize("detector", list(COMMUTING))
+def test_forged_violation_against_a_commuting_symmetry_is_flagged(detector):
+    assert not forged_violation(COMMUTING[detector]).agreed
 
 
 def forged_record(scenario: Scenario, verdict: Verdict):
@@ -409,7 +412,7 @@ def test_s_matrix_inference_oracle_records_the_full_hamiltonian_margin():
     assert record.agreed
     margin = record.truths["full_hamiltonian_margin"]
     full = scenario.matrices["h0"] + scenario.matrices["v"]
-    assert margin == runner._commutant_margin(cp.unitary_part, cp.antilinear, full)
+    assert margin == oracle._commutant_margin(cp.unitary_part, cp.antilinear, full)
     assert margin > DEFAULT_TOLERANCES.tau_violation
     without_v = dataclasses.replace(built, matrices={k: m for k, m in built.matrices.items() if k != "v"})
     assert "full_hamiltonian_margin" not in oracle_on(without_v)[1].truths
@@ -442,11 +445,16 @@ def test_forged_violation_against_a_rounding_level_commutant_is_flagged(seed):
     assert not record.agreed
 
 
-def test_runner_table_and_request_schema_name_the_same_detectors():
-    assert list(runner._RUN_ORACLE) == list(schema.DETECTORS)
-    fields = {name for required, optional, _ in schema.DETECTORS.values() for name in required + optional}
+def test_each_detector_record_is_well_formed():
+    # a new detector cannot skip the forged-violation test
+    assert list(COMMUTING) == list(DETECTORS)
+    for record in DETECTORS.values():
+        assert set(record.matrices) <= set(MATRIX_NAMES)
+        assert not set(record.required) & set(record.optional)
+        assert callable(record.run) and callable(record.oracle)
+    fields = {name for record in DETECTORS.values() for name in record.required + record.optional}
     # every request field names a symmetry or a state, or is a number
-    assert fields - set(schema.REFERENCES) == {"time", "gap_tol"}
+    assert fields - set(REFERENCES) == {"time", "gap_tol"}
 
 
 UNKNOWN = Scenario(dim=1, requests=(Request("nope", {}),))
@@ -466,6 +474,27 @@ def test_oracle_compare_rejects_an_unknown_detector_built_in_process():
     with pytest.raises(ScenarioError) as err:
         oracle_compare(UNKNOWN, report, DEFAULT_TOLERANCES)
     assert str(err.value) == "unknown detector 'nope'"
+
+
+# requests built in process, in a scenario without matrices, that lack a
+# field or a matrix their detector needs; a missing field is named first
+INCOMPLETE = {
+    "field": (Request("unitary_curie", {"symmetry": "R", "time": 1.0}), "missing field 'state'"),
+    "matrix": (Request("wigner", {"symmetry": "R"}), "detector 'wigner' needs matrix 'hamiltonian'"),
+}
+
+
+@pytest.mark.parametrize("missing", sorted(INCOMPLETE))
+def test_incomplete_request_built_in_process_gets_the_parsers_message(missing):
+    request, message = INCOMPLETE[missing]
+    scenario = Scenario(
+        dim=2,
+        symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+        requests=(request,),
+    )
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(scenario, DEFAULT_TOLERANCES)
+    assert str(err.value) == f"requests[0]: {message}"
 
 
 # requests built in process that name a symmetry or a state the scenario lacks
@@ -553,7 +582,7 @@ def test_derived_reversal_has_the_bytes_of_the_composed_transform(cp_antilinear,
         cp = SymmetryTransform(random_unitary(5, seed), antilinear=cp_antilinear)
         cpt = SymmetryTransform(random_unitary(5, seed + 5), antilinear=cpt_antilinear)
         parts = (cp.unitary_part, cp.antilinear, cpt.unitary_part, cpt.antilinear)
-        unitary_part, antilinear = runner._derived_reversal(*parts)
+        unitary_part, antilinear = oracle._derived_reversal(*parts)
         composed = compose(inverse(cp), cpt)
         assert (unitary_part.tobytes(), antilinear) == (composed.unitary_part.tobytes(), composed.antilinear)
 
@@ -573,3 +602,13 @@ def test_oracle_compare_rejects_a_report_of_another_length():
     short = dataclasses.replace(report, records=report.records[:-1])
     with pytest.raises(ScenarioError, match="^report does not match the scenario request list$"):
         oracle_compare(scenario, short, DEFAULT_TOLERANCES)
+
+
+def test_oracle_compare_rejects_the_report_of_another_scenario():
+    paths = shipped_scenario_paths()
+    scenario = parse_scenario(paths["cpt_link_toy"].read_bytes())
+    other = run_scenario(parse_scenario(paths["edm_spin_half"].read_bytes()), DEFAULT_TOLERANCES)
+    # one record each, but a wigner verdict cannot be judged as a cpt_link one
+    assert len(other.records) == len(scenario.requests)
+    with pytest.raises(ScenarioError, match="^report does not match the scenario request list$"):
+        oracle_compare(scenario, other, DEFAULT_TOLERANCES)

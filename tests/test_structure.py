@@ -1,10 +1,10 @@
-"""Where the memo machinery and the transform algebra may be named.
+"""Where the memo machinery and the detector code may be named.
 
 Only ``linalg`` names the memo table class and its key builder; every other
-module declares a cached quantity with ``linalg.memoised``. The oracle in
-``runner`` derives its reversal with array arithmetic, never through the
-detector-side ``compose`` and ``inverse``, and it names nothing of ``wigner``
-but the detector it cross-checks, so its spectrum rule stays its own.
+module declares a cached quantity with ``linalg.memoised``. The oracle's
+arithmetic is its own: ``oracle`` imports no detector module, and of
+``symmetry`` only the transform type, never ``compose``, ``inverse`` or a
+margin, so a bug in a detector cannot reach its own cross-check.
 """
 
 import ast
@@ -34,17 +34,16 @@ def test_only_linalg_names_the_memo_table_and_its_key(module):
     assert not names_in(module) & {"_Memo", "_content_key"}
 
 
-def test_runner_does_not_import_the_transform_algebra():
-    assert not names_in("runner.py") & {"compose", "inverse"}
-
-
-def test_runner_names_no_wigner_helper_but_the_detector():
-    tree = ast.parse((PACKAGE / "wigner.py").read_text(encoding="utf-8"))
-    defined = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, ast.Assign):
-            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
-    assert "spectrum_clusters" in defined
-    assert names_in("runner.py") & defined == {"wigner_principle_check"}
+def test_oracle_imports_no_detector_code():
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                # ``from . import wigner`` imports the module itself
+                module = node.module or alias.name
+                imported.setdefault(module.removeprefix("tvd."), set()).add(alias.name)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.name.removeprefix("tvd."), set()) for alias in node.names)
+    assert not imported.keys() & {"curie", "kabir", "wigner"}
+    assert imported["symmetry"] == {"SymmetryTransform"}
