@@ -34,6 +34,29 @@ def test_only_linalg_names_the_memo_table_and_its_key(module):
     assert not names_in(module) & {"_Memo", "_content_key"}
 
 
+# The runner reaches the detectors through their records and the oracle
+# through its own module, so the rules below read all three together.
+RUNNER_MODULES = ("runner.py", "detectors.py", "oracle.py")
+
+
+def test_runner_does_not_import_the_transform_algebra():
+    for module in RUNNER_MODULES:
+        assert not names_in(module) & {"compose", "inverse"}, module
+
+
+def test_runner_names_no_wigner_helper_but_the_detector():
+    tree = ast.parse((PACKAGE / "wigner.py").read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    assert "spectrum_clusters" in defined
+    named = set().union(*(names_in(module) for module in RUNNER_MODULES))
+    assert named & defined == {"wigner_principle_check"}
+
+
 def test_oracle_imports_no_detector_code():
     tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
     imported: dict[str, set[str]] = {}
