@@ -15,15 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import ClassificationError, MisuseError
+from .errors import ClassificationError
 from .linalg import as_state_vector, mat_exp, norm_deviation, require_hermitian, require_normalized, require_unitary
-from .symmetry import InvarianceMargin, SymmetryTransform, apply, commutant_inference
+from .symmetry import InvarianceMargin, SymmetryTransform, apply, commutant_inference, require_transform
 from .verdict import REASON_BELOW_THRESHOLD, REASON_PREMISE_UNMET, Verdict, classify
-
-
-def _require_linear(r: SymmetryTransform, what: str) -> None:
-    if r.antilinear:
-        raise MisuseError(f"{what} requires a linear symmetry, got antilinear {r.label!r}")
 
 
 def unitary_curie_check(
@@ -39,7 +34,7 @@ def unitary_curie_check(
     has ``R psi_f != psi_f`` (or the mirror image of that), then
     ``[R, H] != 0``. The margin is the offending deviation norm.
     """
-    _require_linear(r, "unitary_curie_check")
+    require_transform(r, False, tol, f"unitary_curie_check requires a linear symmetry, got antilinear {r.label!r}")
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
     psi_i = require_normalized(psi_initial, dim=arr.shape[0], tol=tol.tau_zero, name="psi_initial")
     overflow = f"final state at time {float(time):g} is not finite: the propagator exp(-itH) overflows"
@@ -94,7 +89,7 @@ def scattering_curie_check(
     (eigenphases +1 and -1). A transition amplitude above threshold
     between opposite parities is impossible for an R-commuting S.
     """
-    _require_linear(r, "scattering_curie_check")
+    require_transform(r, False, tol, f"scattering_curie_check requires a linear symmetry, got antilinear {r.label!r}")
     smat = require_unitary(s, tol=tol.tau_zero, name="smatrix")
     v_in = as_state_vector(psi_in, dim=smat.shape[0], name="psi_in")
     v_out = as_state_vector(psi_out, dim=smat.shape[0], name="psi_out")

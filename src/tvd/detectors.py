@@ -79,18 +79,24 @@ REFERENCES: dict[str, tuple[str, str]] = {
 
 
 def request_params(
-    detector: str, fields: Mapping[str, object], matrices: Collection[str], value: Callable, path: str
+    detector: object, fields: Mapping[str, object], matrices: Collection[str], value: Callable, path: str
 ) -> dict[str, object]:
-    """The detector's fields among ``fields``, each passed through ``value(name, field)``.
+    """The request's ``fields``, each passed through ``value(name, field)``.
 
-    A missing required field (checked before any value) or a missing
-    matrix (checked after) raises the parser's message under ``path``.
+    An unknown detector (under ``path.detector``), unknown or missing field
+    (checked before any value) or missing matrix raises the parser's message.
     """
+    if not isinstance(detector, str) or detector not in DETECTORS:
+        raise ScenarioError(f"unknown detector {detector!r}", path and f"{path}.detector")
     record = DETECTORS[detector]
+    names = record.required + record.optional
+    for name in fields:
+        if name not in names:
+            raise ScenarioError(f"unknown field {name!r}", path)
     for name in record.required:
         if name not in fields:
             raise ScenarioError(f"missing field {name!r}", path)
-    params = {name: value(name, fields[name]) for name in record.required + record.optional if name in fields}
+    params = {name: value(name, fields[name]) for name in names if name in fields}
     for name in record.matrices:
         if name not in matrices:
             raise ScenarioError(f"detector {detector!r} needs matrix {name!r}", path)

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import MisuseError
 from .linalg import as_square_matrix, as_state_vector, require_unitary
-from .symmetry import SymmetryTransform, apply
+from .symmetry import SymmetryTransform, apply, require_transform
 from .verdict import Verdict, classify
 
 
@@ -37,8 +36,7 @@ def amplitude_pair(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> AmplitudePair:
     """``<psi_out, S psi_in>`` against ``<T psi_in, S T psi_out>``."""
-    if not t.antilinear:
-        raise MisuseError("the amplitude comparison requires an antilinear transform")
+    require_transform(t, True, tol, "the amplitude comparison requires an antilinear transform")
     smat = require_unitary(s, tol=tol.tau_zero, name="smatrix")
     v_in = as_state_vector(psi_in, dim=smat.shape[0], name="psi_in")
     v_out = as_state_vector(psi_out, dim=smat.shape[0], name="psi_out")

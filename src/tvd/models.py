@@ -24,12 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ParameterError, PremiseError
 from .linalg import frobenius_norm, herm_eig, mat_exp, require_hermitian
-from .symmetry import (
-    SymmetryTransform,
-    apply,
-    conjugate_operator,
-    conjugation,
-)
+from .symmetry import SymmetryTransform, apply, compose, conjugate_operator, conjugation, require_transform
 from .wigner import ray_displacement, spectrum_clusters
 
 
@@ -256,13 +251,11 @@ def symmetrize_invariant(h: np.ndarray, g: SymmetryTransform, tol: Tolerances = 
     """Project H onto the g-commuting part: ``(H + g H g^-1) / 2``.
 
     Idempotent only when g squares to plus or minus the identity, so
-    other squares are rejected.
+    other squares are rejected, as is a g that is not unitary within ``tol.tau_zero``.
     """
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
-    # an array product, as in kramers_square: a transform built from the square
-    # would run the unitary check again, on twice the deviation of g
-    u = g.unitary_part
-    square = u @ (u.conj() if g.antilinear else u)
+    require_transform(g, None, tol)
+    square = compose(g, g).unitary_part
     eye = np.eye(g.dim)
     if min(frobenius_norm(square - eye), frobenius_norm(square + eye)) > tol.tau_zero:
         raise PremiseError("symmetrization needs a transform squaring to plus or minus identity")

@@ -4,22 +4,18 @@ from __future__ import annotations
 
 from .config import Tolerances
 from .detectors import DETECTORS, REFERENCES, Detector, request_params
-from .errors import ScenarioError
-from .linalg import require_unitary
+from .errors import ScenarioError, TvdError
+from .linalg import require_normalized
 from .scenario import OracleRecord, Provenance, Report, Request, Scenario, VerdictRecord
-from .symmetry import SymmetryTransform
+from .symmetry import require_transform
 from .verdict import Verdict
 
 
 def _resolve(scenario: Scenario, request: Request, path: str = "") -> tuple[Detector, dict[str, object]]:
     """The request's detector record, and the scenario's matrices plus the
-    request's fields, each symmetry or state name replaced by what it names.
-
-    A missing field or matrix, or a name the scenario lacks, raises the
-    parser's message under ``path``.
+    request's fields, each symmetry or state name replaced by what it names;
+    a malformed request raises the parser's message under ``path``.
     """
-    if request.detector not in DETECTORS:
-        raise ScenarioError(f"unknown detector {request.detector!r}")
 
     def resolved(name: str, value: object) -> object:
         if name not in REFERENCES:
@@ -39,23 +35,32 @@ def run_request(scenario: Scenario, request: Request, tol: Tolerances) -> Verdic
     return detector.run(args, tol)
 
 
+def _require_valid(scenario: Scenario, tol: Tolerances) -> None:
+    """Check every symmetry unitary and every state of unit norm within ``tol.tau_zero``, under its document path."""
+    path = ""
+    try:
+        for i, g in enumerate(scenario.symmetries.values()):
+            path = f"symmetries[{i}].unitary_part"
+            require_transform(g, None, tol)
+        for name, vec in scenario.states.items():
+            path = f"states.{name}"
+            require_normalized(vec, tol=tol.tau_zero)
+    except TvdError as exc:
+        raise ScenarioError(str(exc), path) from None
+
+
 def run_scenario(
     scenario: Scenario,
     tolerances: Tolerances | None = None,
     seed: int | None = None,
 ) -> Report:
     tol = tolerances if tolerances is not None else scenario.effective_tolerances()
+    _require_valid(scenario, tol)
     records = []
-    # a transform is built unitary to the default tau_zero; the run's may be tighter
-    unitary: set[int] = set()
     for i, request in enumerate(scenario.requests):
         path = f"requests[{i}]"
         try:
             detector, args = _resolve(scenario, request, path)
-            for g in args.values():
-                if isinstance(g, SymmetryTransform) and id(g) not in unitary:
-                    require_unitary(g.unitary_part, tol=tol.tau_zero, name=f"unitary_part of {g.label or 'transform'}")
-                    unitary.add(id(g))
             verdict = detector.run(args, tol)
         except ScenarioError:
             raise
@@ -69,9 +74,10 @@ def run_scenario(
     )
 
 
-def oracle_record(scenario: Scenario, request: Request, verdict: Verdict, tol: Tolerances) -> OracleRecord:
-    """Recompute ground truth for one request and compare outcomes."""
-    detector, args = _resolve(scenario, request)
+def oracle_record(scenario: Scenario, request: Request, verdict: Verdict, tol: Tolerances,
+                  path: str = "") -> OracleRecord:
+    """Recompute ground truth for one request and compare outcomes; a malformed request raises under ``path``."""
+    detector, args = _resolve(scenario, request, path)
     truths, note = detector.oracle(args, verdict.outcome, tol)
     return OracleRecord(detector=request.detector, agreed=not note, truths=truths, note=note)
 
@@ -81,7 +87,7 @@ def oracle_compare(scenario: Scenario, report: Report, tolerances: Tolerances | 
     pairs = list(zip(scenario.requests, report.records))
     if len(report.records) != len(scenario.requests) or any(req.detector != rec.detector for req, rec in pairs):
         raise ScenarioError("report does not match the scenario request list")
-    return tuple(oracle_record(scenario, request, record.verdict, tol) for request, record in pairs)
+    return tuple(oracle_record(scenario, req, rec.verdict, tol, f"requests[{i}]") for i, (req, rec) in enumerate(pairs))
 
 
 def _witness_summary(witness: dict) -> str:

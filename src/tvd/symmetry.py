@@ -3,8 +3,9 @@
 An antiunitary transform is stored as a pair ``(U, antilinear=True)``
 and acts as ``psi -> U @ conj(psi)``, i.e. componentwise conjugation in
 the computational basis followed by a unitary. Linear transforms act as
-``psi -> U @ psi``. The unitary part is always required to be unitary;
-non-unitary linear maps are out of scope.
+``psi -> U @ psi``. Building a transform checks only the form of its unitary
+part; whether it is unitary is judged at the tolerance of the call that relies
+on it (``require_transform``, the runner). Non-unitary maps are out of scope.
 """
 
 from __future__ import annotations
@@ -39,15 +40,23 @@ class SymmetryTransform:
     label: str = ""
 
     def __post_init__(self) -> None:
-        # frozen before the check, so that its memo key is this transform's own buffer
-        arr = frozen(np.asarray(self.unitary_part, dtype=complex))
-        require_unitary(arr, name=f"unitary_part of {self.label or 'transform'}")
+        # frozen, so that memo keys hold this transform's own buffer
+        arr = frozen(as_square_matrix(self.unitary_part, name=f"unitary_part of {self.label or 'transform'}"))
         object.__setattr__(self, "unitary_part", arr)
         object.__setattr__(self, "antilinear", bool(self.antilinear))
 
     @property
     def dim(self) -> int:
         return self.unitary_part.shape[0]
+
+
+def require_transform(g: SymmetryTransform, antilinear: bool | None, tol: Tolerances, what: str = "") -> None:
+    """Check g unitary within ``tol.tau_zero``, after raising ``MisuseError(what)``
+    if its kind is not ``antilinear`` (None takes either kind).
+    """
+    if antilinear is not None and g.antilinear != antilinear:
+        raise MisuseError(what)
+    require_unitary(g.unitary_part, tol=tol.tau_zero, name=f"unitary_part of {g.label or 'transform'}")
 
 
 def conjugation(dim: int, label: str = "K") -> SymmetryTransform:
@@ -132,8 +141,7 @@ def time_reversal_consistency(
     Zero exactly when the candidate reversal sends forward evolution to
     backward evolution.
     """
-    if not t.antilinear:
-        raise MisuseError("time reversal consistency requires an antilinear transform")
+    require_transform(t, True, tol, "time reversal consistency requires an antilinear transform")
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
     forward = mat_exp(arr, -1j * time)
     backward = mat_exp(arr, 1j * time)

@@ -25,7 +25,7 @@ from .linalg import (
     require_hermitian,
     require_normalized,
 )
-from .symmetry import InvarianceMargin, SymmetryTransform, apply, invariance_margin
+from .symmetry import InvarianceMargin, SymmetryTransform, apply, invariance_margin, require_transform
 from .verdict import (
     REASON_BELOW_THRESHOLD,
     REASON_INDETERMINATE,
@@ -97,8 +97,7 @@ class TSquareClass:
 
 
 def kramers_square(t: SymmetryTransform, tol: Tolerances = DEFAULT_TOLERANCES) -> TSquareClass:
-    if not t.antilinear:
-        raise MisuseError("the square classification applies to antilinear transforms")
+    require_transform(t, True, tol, "the square classification applies to antilinear transforms")
     square = t.unitary_part @ t.unitary_part.conj()
     eye = np.eye(t.dim)
     dev_plus = frobenius_norm(square - eye)
@@ -116,8 +115,7 @@ def ray_displacement(t: SymmetryTransform, psi: np.ndarray, tol: Tolerances = DE
     Zero means T fixes the ray of psi; one means T moves psi to an
     orthogonal state.
     """
-    if not t.antilinear:
-        raise MisuseError("ray displacement applies to antilinear transforms")
+    require_transform(t, True, tol, "ray displacement applies to antilinear transforms")
     return _displacement(t, require_normalized(psi, dim=t.dim, tol=tol.tau_zero))
 
 
@@ -151,8 +149,7 @@ def wigner_principle_check(
     level give no conclusion, as do displacements or cluster gaps inside
     the hysteresis band.
     """
-    if not t.antilinear:
-        raise MisuseError("this check requires an antilinear transform")
+    require_transform(t, True, tol, "this check requires an antilinear transform")
     arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
     if frobenius_norm(arr) <= tol.tau_zero:
         raise PremiseError("zero Hamiltonian has no spectral structure to test")

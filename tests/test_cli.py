@@ -233,7 +233,65 @@ def test_symmetry_not_unitary_within_the_documents_tau_zero_is_bad_input(tmp_pat
     target.write_text(json.dumps(NEARLY_UNITARY))
     code, out, err = run_cli(capsysbinary, *argv, "--scenario", str(target))
     assert (code, out) == (2, b"")
-    assert re.fullmatch(rb"error: requests\[0\]: unitary_part of T is not unitary \(deviation 8\.\d{3}e-10\)\n", err), err
+    expected = rb"error: symmetries\[0\]\.unitary_part: unitary_part of T is not unitary \(deviation 8\.\d{3}e-10\)\n"
+    assert re.fullmatch(expected, err), err
+
+
+# H = diag(1, 2) with R = diag(1, -1) and T = K, each of which commutes with
+# H, and the state (1, 0); each variant moves one input off by about 1e-7,
+# outside the default tau_zero but inside a tau_zero of 1e-6
+SLIGHTLY_OFF_BASE = {
+    "dim": 2,
+    "matrices": {"hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
+    "requests": [
+        {"detector": "unitary_curie", "state": "up", "symmetry": "R", "time": 1.0},
+        {"detector": "wigner", "symmetry": "T"},
+    ],
+    "schema_version": 1,
+    "states": {"up": [[1, 0], [0, 0]]},
+    "symmetries": [
+        {"antilinear": False, "label": "R", "unitary_part": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+        {"antilinear": True, "label": "T", "unitary_part": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    ],
+}
+SLIGHTLY_OFF = {
+    "state": (
+        lambda doc: doc["states"].__setitem__("up", [[1 + 1e-7, 0], [0, 0]]),
+        b"error: states.up: state is not normalized (deviation 1.000e-07)\n",
+    ),
+    "symmetry": (
+        lambda doc: doc["symmetries"][1]["unitary_part"][0].__setitem__(0, [1 + 1.4e-7, 0]),
+        b"error: symmetries[1].unitary_part: unitary_part of T is not unitary (deviation 2.800e-07)\n",
+    ),
+}
+
+
+def slightly_off(tmp_path, which: str, **extra) -> str:
+    doc = json.loads(json.dumps(SLIGHTLY_OFF_BASE))
+    SLIGHTLY_OFF[which][0](doc)
+    target = tmp_path / f"{which}_off.json"
+    target.write_text(json.dumps({**doc, **extra}))
+    return str(target)
+
+
+@pytest.mark.parametrize("which", sorted(SLIGHTLY_OFF))
+@pytest.mark.parametrize("argv", [["check"], ["oracle", "--format", "text"]], ids=["check", "oracle"])
+def test_input_slightly_off_is_judged_at_the_runs_tau_zero(tmp_path, capsysbinary, monkeypatch, argv, which):
+    target = slightly_off(tmp_path, which)
+    assert run_cli(capsysbinary, *argv, "--scenario", target) == (2, b"", SLIGHTLY_OFF[which][1])
+    loose = ("--tol-zero", "1e-6", "--tol-violation", "1e-5")
+    code, out, err = run_cli(capsysbinary, *argv, *loose, "--scenario", target)
+    assert (code, err) == (0, b"") and out
+    monkeypatch.setenv("TVD_TOL_ZERO", "1e-6")
+    monkeypatch.setenv("TVD_TOL_VIOLATION", "1e-5")
+    assert run_cli(capsysbinary, *argv, "--scenario", target) == (0, out, b"")
+
+
+def test_tol_zero_flag_tightens_the_state_check_of_a_loose_document(tmp_path, capsysbinary):
+    target = slightly_off(tmp_path, "state", tolerances={"tau_zero": 1e-6, "tau_violation": 1e-5})
+    code, out, err = run_cli(capsysbinary, "check", "--scenario", target)
+    assert (code, err) == (0, b"") and out
+    assert run_cli(capsysbinary, "check", "--tol-zero", "1e-9", "--scenario", target) == (2, b"", SLIGHTLY_OFF["state"][1])
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,11 @@ import pytest
 from tvd import (
     MINUS_IDENTITY,
     PLUS_IDENTITY,
+    ClassificationError,
     ParameterError,
     PremiseError,
     SymmetryTransform,
+    Tolerances,
     build_s_matrix,
     conjugate_operator,
     conjugation,
@@ -143,12 +145,21 @@ def test_symmetrize_is_idempotent_and_commuting():
 
 
 def test_symmetrize_accepts_an_involution_near_the_unitarity_bound():
-    # ||R^dag R - I||_F = ||R^2 - I||_F = 6e-10, both within tau_zero; a
-    # transform built from R^2 would be 1.2e-9 from unitary
+    # ||R^dag R - I||_F = ||R^2 - I||_F = 6e-10, both within tau_zero, while
+    # R^2 is 1.2e-9 from unitary
     v = random_unitary(4, seed=5)
     r = SymmetryTransform((v * [1.0, 1.0, -1.0, -1.0]) @ v.conj().T * math.sqrt(1.0 + 3e-10), antilinear=False)
     h = symmetrize_invariant(random_hermitian(4, seed=6), r)
     assert invariance_margin(r, h).value <= 1e-9
+
+
+def test_symmetrize_rejects_a_non_unitary_involution_at_its_tau_zero():
+    # U^2 = I, but U is not unitary, so U H U^dag is no symmetry image of H
+    stretched = SymmetryTransform(np.array([[0.0, 2.0], [0.5, 0.0]]), antilinear=False, label="U")
+    h = np.diag([1.0, 2.0])
+    with pytest.raises(ClassificationError, match=r"^unitary_part of U is not unitary \(deviation 3\.092e\+00\)$"):
+        symmetrize_invariant(h, stretched)
+    assert symmetrize_invariant(h, stretched, tol=Tolerances(tau_zero=4.0, tau_violation=5.0)).shape == (2, 2)
 
 
 def test_symmetrize_rejects_non_involutive_square():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tvd import (
     DEFAULT_TOLERANCES,
     DETECTORS,
+    REASON_INDETERMINATE,
     VIOLATION,
     Provenance,
     Report,
@@ -463,7 +464,7 @@ UNKNOWN = Scenario(dim=1, requests=(Request("nope", {}),))
 def test_run_scenario_rejects_an_unknown_detector_built_in_process():
     with pytest.raises(ScenarioError) as err:
         run_scenario(UNKNOWN, DEFAULT_TOLERANCES)
-    assert str(err.value) == "unknown detector 'nope'"
+    assert str(err.value) == "requests[0].detector: unknown detector 'nope'"
 
 
 def test_oracle_compare_rejects_an_unknown_detector_built_in_process():
@@ -473,7 +474,7 @@ def test_oracle_compare_rejects_an_unknown_detector_built_in_process():
     )
     with pytest.raises(ScenarioError) as err:
         oracle_compare(UNKNOWN, report, DEFAULT_TOLERANCES)
-    assert str(err.value) == "unknown detector 'nope'"
+    assert str(err.value) == "requests[0].detector: unknown detector 'nope'"
 
 
 # requests built in process, in a scenario without matrices, that lack a
@@ -524,7 +525,56 @@ def test_unknown_reference_built_in_process_gets_the_parsers_message(reference):
     )
     with pytest.raises(ScenarioError) as err:
         oracle_compare(scenario, report, DEFAULT_TOLERANCES)
-    assert str(err.value) == message
+    assert str(err.value) == f"requests[0]: {message}"
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [([1.0, 1e-4], "state is not normalized (deviation 5.000e-09)"), ([np.nan, 0.0], "state has non-finite entries")],
+    ids=["norm", "finite"],
+)
+def test_states_built_in_process_are_judged_before_the_first_request(state, message):
+    # no request names the state, and the run judges it all the same
+    scenario = Scenario(
+        dim=2,
+        matrices={"hamiltonian": G},
+        symmetries={"R": SymmetryTransform(SWAP, antilinear=False, label="R")},
+        states={"even": EVEN_ODD["even"], "off": np.array(state, dtype=complex)},
+        requests=(Request("unitary_curie", {"symmetry": "R", "state": "even", "time": 1.0}),),
+    )
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(scenario, DEFAULT_TOLERANCES)
+    assert str(err.value) == f"states.off: {message}"
+
+
+# H = U·diag(0, 1e-6, 5)·U†: the gap of 1e-6 is isolated under the default
+# gap_tol, so K moves a simple level (a Violation), and crowded under 0.5
+MISSPELLED_GAP = Scenario(
+    dim=3,
+    matrices={"hamiltonian": (random_unitary(3, 4) * [0.0, 1e-6, 5.0]) @ random_unitary(3, 4).conj().T},
+    symmetries={"K": conjugation(3)},
+)
+
+
+def test_unknown_field_built_in_process_is_rejected_not_ignored():
+    # ignoring the misspelled field would give the default gap_tol's Violation
+    requests = (Request("wigner", {"symmetry": "K"}), Request("wigner", {"symmetry": "K", "gap_tol": 0.5}))
+    default, spelled = run_scenario(dataclasses.replace(MISSPELLED_GAP, requests=requests), DEFAULT_TOLERANCES).records
+    assert default.verdict.outcome == VIOLATION and default.verdict.margin == pytest.approx(0.25, abs=1e-3)
+    assert spelled.verdict.reason == REASON_INDETERMINATE
+    request = Request("wigner", {"symmetry": "K", "gap_tl": 0.5})
+    misspelled = dataclasses.replace(MISSPELLED_GAP, requests=(request,))
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(misspelled, DEFAULT_TOLERANCES)
+    assert str(err.value) == "requests[0]: unknown field 'gap_tl'"
+    forged = Verdict.violation("K", margin=1.0, witness={"forged": True})
+    report = Report(
+        records=(VerdictRecord("wigner", forged),),
+        provenance=Provenance(tolerances=DEFAULT_TOLERANCES, seed=None),
+    )
+    with pytest.raises(ScenarioError) as err:
+        oracle_compare(misspelled, report, DEFAULT_TOLERANCES)
+    assert str(err.value) == "requests[0]: unknown field 'gap_tl'"
 
 
 def test_each_named_symmetry_is_held_to_the_runs_tau_zero_once(monkeypatch):
@@ -536,12 +586,13 @@ def test_each_named_symmetry_is_held_to_the_runs_tau_zero_once(monkeypatch):
         requests=(Request("wigner", {"symmetry": "K"}),) * 2 + (Request("wigner", {"symmetry": "T"}),) * 2,
     )
     checked = []
-    monkeypatch.setattr(runner, "require_unitary", lambda u, **kw: checked.append(kw["name"]))
+    monkeypatch.setattr(runner, "require_transform", lambda g, antilinear, tol: checked.append((g.label, antilinear)))
     run_scenario(scenario, DEFAULT_TOLERANCES)
-    assert checked == ["unitary_part of K", "unitary_part of T"]
+    assert checked == [("K", None), ("T", None)]
     monkeypatch.undo()
     assert run_scenario(scenario, DEFAULT_TOLERANCES).records[3].verdict.outcome != VIOLATION
-    with pytest.raises(ScenarioError, match=r"^requests\[2\]: unitary_part of T is not unitary \(deviation 8\.000e-10\)$"):
+    message = r"^symmetries\[1\]\.unitary_part: unitary_part of T is not unitary \(deviation 8\.000e-10\)$"
+    with pytest.raises(ScenarioError, match=message):
         run_scenario(scenario, dataclasses.replace(DEFAULT_TOLERANCES, tau_zero=1e-13, tau_violation=1e-10))
 
 

@@ -95,10 +95,26 @@ def test_rejects_unknown_state_reference():
     assert str(err.value) == "requests[1].state: unknown state 'psi9'"
 
 
+def non_unitary_symmetry(d: dict) -> None:
+    d["symmetries"][0]["unitary_part"][0] = [[9.0, 0.0], [0.0, 0.0]]
+
+
 def test_rejects_non_unitary_symmetry():
-    data = corrupt(lambda d: d["symmetries"][0]["unitary_part"].__setitem__(0, [[9.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ScenarioError):
-        parse_scenario(data)
+    # parsing checks form only; the run judges unitarity at its own tau_zero
+    parsed = parse_scenario(corrupt(non_unitary_symmetry))
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(parsed, parsed.effective_tolerances())
+    assert str(err.value) == "symmetries[0].unitary_part: unitary_part of T is not unitary (deviation 8.000e+01)"
+
+
+def test_a_malformed_request_is_reported_before_a_non_unitary_symmetry():
+    def both(d):
+        non_unitary_symmetry(d)
+        d["requests"][0]["detector"] = "psychic"
+
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(corrupt(both))
+    assert str(err.value) == "requests[0].detector: unknown detector 'psychic'"
 
 
 def test_rejects_matrix_dimension_mismatch():
@@ -150,6 +166,7 @@ def test_rejects_unknown_detector():
         ({"detector": "wigner", "symmetry": "T", "gap_tol": 0}, "requests[0].gap_tol: expected a positive number"),
         ({"detector": "wigner", "symmetry": "T", "time": 1.0}, "requests[0]: unknown field 'time'"),
         ({"detector": "cpt_link", "cpt_symmetry": "T"}, "requests[0]: missing field 'cp_symmetry'"),
+        ({"detector": ["wigner"]}, "requests[0].detector: unknown detector ['wigner']"),
     ],
 )
 def test_request_field_errors_name_the_field(request_doc, message):
@@ -175,10 +192,13 @@ def test_rejects_request_without_required_matrix():
 
 
 def test_rejects_unnormalized_state():
-    data = corrupt(lambda d: d["states"].__setitem__("ground", [[2.0, 0.0], [0.0, 0.0]]))
+    # parsing checks form only; the run judges the norm at its own tau_zero
+    parsed = parse_scenario(corrupt(lambda d: d["states"].__setitem__("ground", [[2.0, 0.0], [0.0, 0.0]])))
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(data)
-    assert "not normalized" in str(err.value)
+        run_scenario(parsed, parsed.effective_tolerances())
+    assert str(err.value) == "states.ground: state is not normalized (deviation 1.000e+00)"
+    loose = parsed.effective_tolerances(tau_zero=1.0, tau_violation=2.0)
+    assert len(run_scenario(parsed, loose).records) == 1
 
 
 def test_rejects_malformed_complex_entry():

@@ -4,7 +4,9 @@ Only ``linalg`` names the memo table class and its key builder; every other
 module declares a cached quantity with ``linalg.memoised``. The oracle's
 arithmetic is its own: ``oracle`` imports no detector module, and of
 ``symmetry`` only the transform type, never ``compose``, ``inverse`` or a
-margin, so a bug in a detector cannot reach its own cross-check.
+margin, so a bug in a detector cannot reach its own cross-check. Parsing and
+building a transform check form only: whether a symmetry is unitary, a state
+of unit norm or a matrix Hermitian is judged where a tolerance is known.
 """
 
 import ast
@@ -17,7 +19,10 @@ MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "lin
 
 
 def names_in(module: str) -> set[str]:
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return names_under(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+
+
+def names_under(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -70,3 +75,14 @@ def test_oracle_imports_no_detector_code():
             imported.update((alias.name.removeprefix("tvd."), set()) for alias in node.names)
     assert not imported.keys() & {"curie", "kabir", "wigner"}
     assert imported["symmetry"] == {"SymmetryTransform"}
+
+
+def test_parsing_judges_no_input_against_a_tolerance():
+    assert not names_in("scenario.py") & {"require_unitary", "require_normalized", "norm_deviation", "require_hermitian"}
+
+
+def test_building_a_transform_checks_no_unitarity():
+    tree = ast.parse((PACKAGE / "symmetry.py").read_text(encoding="utf-8"))
+    (transform,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SymmetryTransform")
+    (post_init,) = (node for node in transform.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    assert "require_unitary" not in names_under(post_init)

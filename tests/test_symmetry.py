@@ -14,6 +14,7 @@ from tvd import (
     TIME_REVERSAL_UNITARY,
     VIOLATION,
     ClassificationError,
+    DimensionMismatchError,
     InvarianceMargin,
     MisuseError,
     SymmetryTransform,
@@ -30,6 +31,7 @@ from tvd import (
     random_unitary,
     time_reversal_consistency,
 )
+from tvd.symmetry import require_transform
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -45,8 +47,23 @@ def _random_transform(seed):
 
 
 def test_rejects_non_unitary_part():
-    with pytest.raises(ClassificationError):
-        SymmetryTransform(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex), antilinear=False)
+    # building checks form; unitarity is judged at the tolerance of the call
+    with pytest.raises(DimensionMismatchError):
+        SymmetryTransform(np.ones((2, 3), dtype=complex), antilinear=True)
+    with pytest.raises(ClassificationError, match="^unitary_part of T has non-finite entries$"):
+        SymmetryTransform(np.diag([np.nan, 1.0]), antilinear=True, label="T")
+    doubled = SymmetryTransform(np.diag([2.0, 1.0]), antilinear=True, label="T")
+    loose = Tolerances(tau_zero=3.0, tau_violation=4.0)
+    require_transform(doubled, True, loose)
+    require_transform(doubled, None, loose)
+    for check in (
+        lambda: require_transform(doubled, None, Tolerances()),
+        lambda: time_reversal_consistency(doubled, np.eye(2), 1.0),
+    ):
+        with pytest.raises(ClassificationError, match=r"^unitary_part of T is not unitary \(deviation 3\.000e\+00\)$"):
+            check()
+    with pytest.raises(MisuseError, match="^wrong kind$"):
+        require_transform(doubled, False, loose, "wrong kind")
 
 
 def test_apply_conjugation():

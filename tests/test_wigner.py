@@ -16,6 +16,7 @@ from tvd import (
     REASON_INDETERMINATE,
     REASON_PREMISE_UNMET,
     VIOLATION,
+    ClassificationError,
     MisuseError,
     PremiseError,
     Report,
@@ -164,6 +165,17 @@ def test_check_rejects_linear_transform_and_zero_h():
         wigner_principle_check(np.diag([1.0, 2.0]), SymmetryTransform(np.eye(2, dtype=complex), antilinear=False))
     with pytest.raises(PremiseError):
         wigner_principle_check(np.zeros((2, 2)), conjugation(2))
+
+
+def test_check_judges_the_transform_at_its_own_tau_zero():
+    # T = diag(1 - 4e-10, 1)·K commutes with H = diag(1, 2); under a tau_zero
+    # below its norm loss, that loss alone would read as a Violation
+    nearly = SymmetryTransform(np.diag([1.0 - 4e-10, 1.0]), antilinear=True, label="T")
+    h = np.diag([1.0, 2.0])
+    assert wigner_principle_check(h, nearly).reason == REASON_BELOW_THRESHOLD
+    strict = Tolerances(tau_zero=1e-13, tau_violation=1e-10)
+    with pytest.raises(ClassificationError, match=r"^unitary_part of T is not unitary \(deviation 8\.000e-10\)$"):
+        wigner_principle_check(h, nearly, tol=strict)
 
 
 def test_kramers_verify_forces_even_multiplicities():
