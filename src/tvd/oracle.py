@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import Tolerances
-from .errors import ClassificationError
+from .errors import ClassificationError, PremiseError
 from .linalg import frozen, memoised
 from .symmetry import SymmetryTransform
 from .verdict import NO_CONCLUSION, VIOLATION
@@ -73,6 +73,22 @@ def _spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _applied(g: SymmetryTransform, psi: np.ndarray) -> np.ndarray:
     vec = psi.conj() if g.antilinear else psi
     return g.unitary_part @ vec
+
+
+# Every rule assumes unitary symmetries and unit states. The runner has the
+# oracle check both at the run's tau_zero, with the detectors' texts.
+
+
+def check_unitary(g: SymmetryTransform, tol: Tolerances) -> None:
+    dev = _norm(g.unitary_part.conj().T @ g.unitary_part - np.eye(g.dim))
+    if not dev <= tol.tau_zero:
+        raise ClassificationError(f"unitary_part of {g.label or 'transform'} is not unitary (deviation {dev:.3e})")
+
+
+def check_normalized(psi: np.ndarray, tol: Tolerances) -> None:
+    dev = abs(_norm(psi) - 1.0)
+    if not dev <= tol.tau_zero:
+        raise PremiseError(f"state is not normalized (deviation {dev:.3e})")
 
 
 # The no-conclusion cross-checks below insist on a Violation only when

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from . import oracle
 from .config import Tolerances
 from .detectors import DETECTORS, REFERENCES, Detector, request_params
 from .errors import ScenarioError, TvdError
@@ -30,23 +31,34 @@ def _resolve(scenario: Scenario, request: Request, path: str = "") -> tuple[Dete
     return DETECTORS[request.detector], {**scenario.matrices, **params}
 
 
+# How a symmetry and a state are judged at a run's tolerances: by the
+# detectors' checks, or by the oracle's own arithmetic, which reads no
+# detector memo.
+_DETECTOR_CHECKS = (
+    lambda g, tol: require_transform(g, None, tol),
+    lambda v, tol: require_normalized(v, tol=tol.tau_zero),
+)
+_ORACLE_CHECKS = (oracle.check_unitary, oracle.check_normalized)
+
+
+def _require_valid(scenario: Scenario, tol: Tolerances, checks: tuple = _DETECTOR_CHECKS) -> None:
+    """Judge every symmetry, then every state, with ``checks`` at ``tol``; a failure raises under its document path."""
+    # a symmetry's index is its place in scenario.symmetries: a parsed document's order
+    unitary, normalized = checks
+    items = [(f"symmetries[{i}].unitary_part", unitary, g) for i, g in enumerate(scenario.symmetries.values())]
+    items += [(f"states.{name}", normalized, vec) for name, vec in scenario.states.items()]
+    for path, check, value in items:
+        try:
+            check(value, tol)
+        except TvdError as exc:
+            raise ScenarioError(str(exc), path) from None
+
+
 def run_request(scenario: Scenario, request: Request, tol: Tolerances) -> Verdict:
+    """One request's verdict, once the scenario's symmetries and states pass ``run_scenario``'s checks at ``tol``."""
     detector, args = _resolve(scenario, request)
+    _require_valid(scenario, tol)
     return detector.run(args, tol)
-
-
-def _require_valid(scenario: Scenario, tol: Tolerances) -> None:
-    """Check every symmetry unitary and every state of unit norm within ``tol.tau_zero``, under its document path."""
-    path = ""
-    try:
-        for i, g in enumerate(scenario.symmetries.values()):
-            path = f"symmetries[{i}].unitary_part"
-            require_transform(g, None, tol)
-        for name, vec in scenario.states.items():
-            path = f"states.{name}"
-            require_normalized(vec, tol=tol.tau_zero)
-    except TvdError as exc:
-        raise ScenarioError(str(exc), path) from None
 
 
 def run_scenario(
@@ -83,10 +95,12 @@ def oracle_record(scenario: Scenario, request: Request, verdict: Verdict, tol: T
 
 
 def oracle_compare(scenario: Scenario, report: Report, tolerances: Tolerances | None = None) -> tuple[OracleRecord, ...]:
+    """Each request's oracle record, once the oracle has judged every symmetry and state itself."""
     tol = tolerances if tolerances is not None else report.provenance.tolerances
     pairs = list(zip(scenario.requests, report.records))
     if len(report.records) != len(scenario.requests) or any(req.detector != rec.detector for req, rec in pairs):
         raise ScenarioError("report does not match the scenario request list")
+    _require_valid(scenario, tol, _ORACLE_CHECKS)
     return tuple(oracle_record(scenario, req, rec.verdict, tol, f"requests[{i}]") for i, (req, rec) in enumerate(pairs))
 
 

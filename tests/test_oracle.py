@@ -43,7 +43,7 @@ from tvd import (
     shipped_scenario_paths,
     symmetrize_invariant,
 )
-from tvd import oracle, runner
+from tvd import linalg, oracle, runner
 from tvd.detectors import REFERENCES
 from tvd.scenario import MATRIX_NAMES
 from tvd.symmetry import compose, inverse
@@ -645,6 +645,75 @@ def test_run_request_gives_the_verdicts_of_run_scenario(name):
     report = run_scenario(scenario, tol)
     records = tuple(VerdictRecord(r.detector, runner.run_request(scenario, r, tol)) for r in scenario.requests)
     assert serialize_report(dataclasses.replace(report, records=records)) == serialize_report(report)
+
+
+# a dim-2 scenario whose S is Haar and R = diag(1, -1): with a state of norm
+# two, scattering_curie would find Violation(R on S), amplitude 1.405, from
+# the norm alone; R = diag(1, -1.5) would feed invariance_margin a non-unitary map
+def invalid_scenario(case: str) -> Scenario:
+    states = {"even": np.array([2.0 if case == "state" else 1.0, 0.0]), "odd": np.array([0.0, 1.0])}
+    return Scenario(
+        dim=2,
+        matrices={"hamiltonian": G, "h0": np.diag([1.0, 2.0]), "smatrix": random_unitary(2, 3)},
+        symmetries={"R": SymmetryTransform(np.diag([1.0, -1.5 if case == "symmetry" else -1.0]), False, "R"),
+                    "K": conjugation(2)},
+        states=states,
+        requests=(
+            Request("scattering_curie", {"symmetry": "R", "state_in": "even", "state_out": "odd"}),
+            Request("kabir", {"symmetry": "K", "state_in": "even", "state_out": "odd"}),
+            Request("s_matrix_inference", {"symmetry": "R"}),
+            Request("cpt_link", {"cpt_symmetry": "K", "cp_symmetry": "R"}),
+        ),
+    )
+
+
+INVALID = {
+    "state": "states.even: state is not normalized (deviation 1.000e+00)",
+    "symmetry": "symmetries[1].unitary_part: unitary_part of R is not unitary (deviation 1.250e+00)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_every_entry_point_judges_the_scenario_with_the_same_text(case):
+    scenario = parse_scenario(serialize_scenario(invalid_scenario(case)))
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(scenario, DEFAULT_TOLERANCES)
+    assert str(err.value) == INVALID[case]
+    for request in scenario.requests:
+        with pytest.raises(ScenarioError) as err:
+            runner.run_request(scenario, request, DEFAULT_TOLERANCES)
+        assert str(err.value) == INVALID[case]
+    # a forged report meets the oracle's own check, which reads no detector memo
+    forged = Verdict.violation("R", margin=1.0, witness={"forged": True})
+    report = Report(
+        records=tuple(VerdictRecord(r.detector, forged) for r in scenario.requests),
+        provenance=Provenance(tolerances=DEFAULT_TOLERANCES, seed=None),
+    )
+    linalg._deviation.clear()
+    with pytest.raises(ScenarioError) as err:
+        oracle_compare(scenario, report, DEFAULT_TOLERANCES)
+    assert str(err.value) == INVALID[case]
+    assert not linalg._deviation.table
+
+
+def test_run_request_judges_states_the_request_does_not_name():
+    valid = invalid_scenario("none")
+    assert len(run_scenario(valid, DEFAULT_TOLERANCES).records) == 4
+    scenario = dataclasses.replace(invalid_scenario("state"), requests=())
+    with pytest.raises(ScenarioError, match=r"^states\.even: "):
+        runner.run_request(scenario, Request("s_matrix_inference", {"symmetry": "R"}), DEFAULT_TOLERANCES)
+
+
+def test_a_symmetry_built_in_process_is_indexed_in_its_tables_order():
+    # the message names the label either way; the index follows Scenario.symmetries,
+    # which serialize_scenario writes sorted by label
+    bad = SymmetryTransform(np.diag([1.0, 1.5]), antilinear=True, label="T")
+    scenario = Scenario(dim=2, symmetries={"T": bad, "K": conjugation(2)})
+    text = "unitary_part of T is not unitary (deviation 1.250e+00)"
+    for built, index in ((scenario, 0), (parse_scenario(serialize_scenario(scenario)), 1)):
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(built, DEFAULT_TOLERANCES)
+        assert str(err.value) == f"symmetries[{index}].unitary_part: {text}"
 
 
 def test_oracle_compare_rejects_a_report_of_another_length():
