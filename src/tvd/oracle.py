@@ -95,9 +95,12 @@ def check_normalized(psi: np.ndarray, tol: Tolerances) -> None:
 # every deciding quantity clears its threshold by a factor of two, so
 # that the oracle's independent arithmetic cannot disagree over rounding.
 # For the same reason a Violation is accepted once the independent
-# quantity is clearly nonzero (above tau_zero), not above tau_violation:
-# a sound verdict can sit at the band edge, or come from weak breaking
-# amplified by a long evolution time.
+# commutator is clearly nonzero (above tau_zero), not above tau_violation:
+# a sound verdict can sit at the band edge. A smaller commutator is
+# accepted too when an effect the oracle recomputes proves it nonzero: a
+# state moved by weak breaking over a long time, or, when tau_violation is
+# below about twice tau_zero, a lower bound on the commutator that the
+# effect implies (a certificate).
 
 
 def _clearly_fixed(dev: float, tol: Tolerances) -> bool:
@@ -131,6 +134,18 @@ def _weak_breaking_moves(margin: float, h: np.ndarray, dev_i: float, dev_f: floa
     )
 
 
+def _certified(margin: float, bound: float, a: np.ndarray) -> bool:
+    """The commutator behind ``margin``, a commutant margin of ``a``, accounts for
+    ``bound``, a lower bound on its spectral norm that a recomputed effect implies.
+
+    The factor two leaves room for rounding, and neither may be rounding alone.
+    """
+    norm = _norm(a)
+    commutator = margin * max(1.0, norm)
+    floor = _COMMUTATOR_FLOOR * norm
+    return bound > floor and commutator > floor and 2.0 * commutator >= bound
+
+
 # Each oracle rule returns its truths and a note that is empty when the
 # detector's outcome agrees with them.
 
@@ -160,17 +175,20 @@ def scattering_curie(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, 
     truth = _s_commutant(r.unitary_part, smat)
     amplitude = abs(complex(np.vdot(v_out, smat @ v_in)))
     truths = {"commutant_margin": truth, "cross_amplitude": amplitude}
+    # each state's distance from R's even (+1) and odd (-1) rays
+    even_in, odd_in, even_out, odd_out = (
+        _norm(_applied(r, psi) - sign * psi) for psi in (v_in, v_out) for sign in (1.0, -1.0)
+    )
     if outcome == VIOLATION:
-        return truths, "" if truth > tol.tau_zero else "violation verdict but S commutes with the symmetry"
+        # |<out, [R, S] in>| >= 2|a| - d_in - d_out for states d_in, d_out from opposite parities
+        bound = 2.0 * amplitude - min(even_in + odd_out, odd_in + even_out)
+        sound = truth > tol.tau_zero or (bound > tol.tau_violation - tol.tau_zero and _certified(truth, bound, smat))
+        return truths, "" if sound else "violation verdict but S commutes with the symmetry"
 
-    def parity(psi: np.ndarray) -> str:
-        if _clearly_fixed(_norm(_applied(r, psi) - psi), tol):
-            return "even"
-        if _clearly_fixed(_norm(_applied(r, psi) + psi), tol):
-            return "odd"
-        return "mixed"
+    def parity(even: float, odd: float) -> str:
+        return "even" if _clearly_fixed(even, tol) else "odd" if _clearly_fixed(odd, tol) else "mixed"
 
-    opposite = {parity(v_in), parity(v_out)} == {"even", "odd"}
+    opposite = {parity(even_in, odd_in), parity(even_out, odd_out)} == {"even", "odd"}
     mandated = opposite and _clearly_moved(amplitude, tol)
     return truths, "no-conclusion verdict but a cross-parity amplitude clearly survives" if mandated else ""
 
@@ -212,7 +230,12 @@ def cpt_link(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], 
     t_margin = _commutant_margin(*reversal, h)
     truths = {"cpt_margin": cpt_margin, "cp_margin": cp_margin, "t_margin": t_margin}
     if outcome == VIOLATION:
-        sound = cpt_margin <= tol.tau_zero and cp_margin > tol.tau_violation and t_margin > tol.tau_zero
+        # conjugation keeps norms, so t_margin >= cp_margin - cpt_margin
+        bound = cp_margin - cpt_margin
+        proven = t_margin > tol.tau_zero or (
+            bound > tol.tau_violation - tol.tau_zero and _certified(t_margin, bound * max(1.0, _norm(h)), h)
+        )
+        sound = cpt_margin <= tol.tau_zero and cp_margin > tol.tau_violation and proven
         return truths, "" if sound else "violation verdict but the derived reversal commutes with H"
     mandated = (
         _clearly_fixed(cpt_margin, tol)
@@ -234,13 +257,21 @@ def wigner(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], st
     nearest = np.fmin(gaps[:-1], gaps[1:])
     simple = ~(nearest <= effective_gap * max(1.0, spread))
     truths = {"commutant_margin": truth, "non_degenerate_levels": float(np.count_nonzero(simple))}
+
+    def displacement(k: int) -> float:
+        return 1.0 - abs(complex(np.vdot(_applied(t, vectors[:, k]), vectors[:, k])))
+
+    def certifies(k: int) -> bool:
+        # Davis-Kahan: T v is an eigenvector of T H T^-1, so a level displaced by
+        # delta with gap g puts ||T H T^-1 - H||_2 at or above g sqrt(delta (2 - delta))
+        delta = displacement(k)
+        clear = delta > min(tol.tau_zero, 0.5 * (tol.tau_violation - tol.tau_zero))
+        return clear and _certified(truth, float(nearest[k]) * np.sqrt(max(0.0, delta * (2.0 - delta))), h)
+
     if outcome == VIOLATION:
-        sound = truth > tol.tau_zero and bool(simple.any())
+        sound = bool(simple.any()) and (truth > tol.tau_zero or any(map(certifies, np.flatnonzero(simple))))
         return truths, "" if sound else "violation verdict but T commutes with H or no simple level exists"
     # tau_violation > tau_zero, so this limit is the wider one and keeps only simple levels
     confident_limit = effective_gap * (tol.tau_violation / tol.tau_zero) * max(1.0, spread)
-    mandated = any(
-        _clearly_moved(1.0 - abs(complex(np.vdot(_applied(t, vectors[:, k]), vectors[:, k]))), tol)
-        for k in np.flatnonzero(~(nearest <= 2.0 * confident_limit))
-    )
+    mandated = any(_clearly_moved(displacement(k), tol) for k in np.flatnonzero(~(nearest <= 2.0 * confident_limit)))
     return truths, "no-conclusion verdict but an isolated eigenray clearly moves" if mandated else ""
