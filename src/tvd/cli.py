@@ -2,7 +2,8 @@
 
 Subcommands: ``check`` runs scenario files, ``models`` emits built-in
 scenarios, ``oracle`` re-derives every verdict from first principles and
-compares, ``selftest`` replays the module invariant suites.
+compares, ``selftest`` judges seeded draws of every detector with the oracle
+and replays the module invariant suites.
 
 Tolerance and seed precedence, highest first: command line flags, the
 environment (``TVD_TOL_ZERO``, ``TVD_TOL_VIOLATION``, ``TVD_SEED``),

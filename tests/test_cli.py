@@ -489,12 +489,12 @@ def test_selftest_counts_at_default_tolerances(capsysbinary):
     code, out, _ = run_cli(capsysbinary, "selftest")
     assert code == 0
     assert out.decode() == (
-        "linalg: 120 passed, 0 failed\n"
-        "symmetry: 65 passed, 0 failed\n"
-        "curie: 4 passed, 0 failed\n"
-        "kabir: 7 passed, 0 failed\n"
-        "wigner: 7 passed, 0 failed\n"
-        "models: 20 passed, 0 failed\n"
+        "linalg: 80 passed, 0 failed\n"
+        "symmetry: 22 passed, 0 failed\n"
+        "curie: 6 passed, 0 failed\n"
+        "kabir: 2 passed, 0 failed\n"
+        "wigner: 6 passed, 0 failed\n"
+        "models: 9 passed, 0 failed\n"
         "scenario_io: 2 passed, 0 failed\n"
         "selftest: OK\n"
     )
@@ -541,19 +541,26 @@ def test_selftest_at_very_loose_tolerances_runs_every_suite(capsysbinary):
     assert out.decode().endswith("selftest: FAILED\n")
 
 
-@pytest.mark.parametrize(
-    "suite, detector, label",
-    [
-        ("curie", "unitary_curie", "unitary soundness over 500 instances"),
-        ("kabir", "kabir", "amplitude soundness over 500 instances"),
-    ],
-)
-def test_selftest_soundness_is_judged_by_the_oracle_table(capsysbinary, monkeypatch, suite, detector, label):
+# each detector's draws run under the suite of its module, with one maximal-breaking request
+SOUNDNESS_SUITES = {
+    "unitary_curie": "curie",
+    "scattering_curie": "curie",
+    "s_matrix_inference": "curie",
+    "kabir": "kabir",
+    "cpt_link": "symmetry",
+    "wigner": "wigner",
+}
+
+
+@pytest.mark.parametrize("detector", list(SOUNDNESS_SUITES))
+def test_selftest_soundness_is_judged_by_the_oracle_table(capsysbinary, monkeypatch, detector):
+    assert list(SOUNDNESS_SUITES) == list(DETECTORS)
     forged = dataclasses.replace(DETECTORS[detector], oracle=lambda args, outcome, tol: ({}, "forged note"))
     monkeypatch.setitem(DETECTORS, detector, forged)
-    code, out, _ = run_cli(capsysbinary, "selftest", "--suite", suite)
+    code, out, _ = run_cli(capsysbinary, "selftest", "--suite", SOUNDNESS_SUITES[detector])
     assert code == 1
-    assert f"  FAIL {label}\n" in out.decode()
+    failures = re.findall(r"^  FAIL (.*)$", out.decode(), re.MULTILINE)
+    assert failures == [f"{detector} soundness over 501 requests"]
 
 
 def test_models_lists_names(capsysbinary):

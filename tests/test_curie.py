@@ -20,6 +20,7 @@ from tvd import (
     conjugation,
     invariance_margin,
     kaon_decay_scattering_model,
+    random_unitary,
     s_matrix_inference,
     scattering_curie_check,
     symmetrize_invariant,
@@ -119,10 +120,22 @@ def test_scattering_kaon_decay_violation():
 
 def test_scattering_zero_leakage_is_below_threshold():
     model = kaon_decay_scattering_model(0.0)
-    verdict = scattering_curie_check(model.smatrix, model.cp, model.psi_in, model.psi_out)
-    assert verdict.outcome == NO_CONCLUSION
-    assert verdict.reason == REASON_BELOW_THRESHOLD
-    assert verdict.margin <= 1e-12
+    cases = [(model.smatrix, model.cp, model.psi_in, model.psi_out)]
+    # S block diagonal in R's eigenbasis commutes with R, so it has no cross-parity amplitude
+    for i in range(100):
+        dim = 2 + i % 5
+        v = random_unitary(dim, seed=2_000 + i)
+        signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+        blocks = np.zeros((dim, dim), dtype=complex)
+        for sector in (signs > 0, signs < 0):
+            blocks[np.ix_(sector, sector)] = random_unitary(int(np.count_nonzero(sector)), seed=i)
+        r = SymmetryTransform((v * signs) @ v.conj().T, antilinear=False, label="R")
+        cases.append((v @ blocks @ v.conj().T, r, v[:, 0], v[:, 1]))
+    for s, r, even, odd in cases:
+        verdict = scattering_curie_check(s, r, even, odd)
+        assert verdict.outcome == NO_CONCLUSION
+        assert verdict.reason == REASON_BELOW_THRESHOLD
+        assert verdict.margin <= 1e-12
 
 
 def test_scattering_premise_needs_opposite_parities():

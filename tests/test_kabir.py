@@ -15,7 +15,9 @@ from tvd import (
     kabir_check,
     kaon_oscillation_model,
     mat_exp,
+    normalize,
     probability_asymmetry,
+    random_unitary,
     t_symmetric_smatrix,
     transition_probability,
 )
@@ -54,8 +56,8 @@ def test_non_unitary_smatrix_is_rejected():
 
 
 def test_symmetric_smatrix_never_trips():
-    for dim in (2, 3, 4, 5):
-        s = t_symmetric_smatrix(dim, seed=14 + dim)
+    for dim, seed in [(dim, 14 + dim) for dim in (2, 3, 4, 5)] + [(2 + i % 5, 4_000 + i) for i in range(60)]:
+        s = t_symmetric_smatrix(dim, seed=seed)
         t = conjugation(dim)
         for i in range(dim):
             for j in range(dim):
@@ -88,16 +90,29 @@ def test_oscillation_with_real_coupling_does_not():
 
 def test_transition_probability_half():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
-    assert transition_probability(hadamard, E0, E1) == pytest.approx(0.5)
+    quarter_turn = mat_exp(np.array([[0, 1], [1, 0]], dtype=complex), -1j * math.pi / 4)
+    for u in (hadamard, quarter_turn):
+        assert transition_probability(u, E0, E1) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_transition_probability_lies_in_the_unit_interval():
+    for i in range(50):
+        dim = 2 + i % 4
+        rng = np.random.default_rng(6_000 + i)
+        psi, phi = (normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) for _ in range(2))
+        assert 0.0 <= transition_probability(random_unitary(dim, seed=i), psi, phi) <= 1.0 + 1e-12
 
 
 def test_probability_asymmetry_vanishes_in_two_channels():
     # |S_ab| = |S_ba| for every 2x2 unitary, so probabilities cannot differ
+    unitaries = [random_unitary(2, seed) for seed in range(5_000, 5_200)] + [random_unitary(2, 7)]
     for i in range(40):
         rng = np.random.default_rng(61_000 + i)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         h = (g + g.conj().T) / 2
-        s = mat_exp(h, -1.0j)
+        unitaries.append(mat_exp(h, -1.0j))
+    for s in unitaries:
+        assert abs(abs(s[0, 1]) - abs(s[1, 0])) <= 1e-12
         assert probability_asymmetry(s, E0, E1) <= 1e-12
 
 

@@ -79,7 +79,7 @@ def test_mat_exp_rejects_non_finite():
 
 
 def test_herm_eig_reconstruction_and_order():
-    for i in range(20):
+    for i in range(40):
         h = random_hermitian(2 + i % 5, seed=200 + i)
         decomp = herm_eig(h)
         assert np.all(np.diff(decomp.eigenvalues) >= -1e-14)

@@ -9,6 +9,7 @@ from tvd import (
     ClassificationError,
     ParameterError,
     PremiseError,
+    apply,
     SymmetryTransform,
     Tolerances,
     build_s_matrix,
@@ -20,6 +21,7 @@ from tvd import (
     kaon_decay_scattering_model,
     kaon_oscillation_model,
     kramers_square,
+    mat_exp,
     random_hermitian,
     random_unitary,
     spin_operators,
@@ -49,6 +51,9 @@ def test_spin_algebra_relations():
             assert np.allclose(a @ b - b @ a, 1j * c, atol=1e-12)
         casimir = spin.jx @ spin.jx + spin.jy @ spin.jy + spin.jz @ spin.jz
         assert np.allclose(casimir, j * (j + 1) * np.eye(spin.dim), atol=1e-12)
+        # the reversal flips J
+        for comp in (spin.jx, spin.jy, spin.jz):
+            assert frobenius_norm(conjugate_operator(spin.time_reversal, comp) + comp) <= 1e-10
 
 
 def test_spin_reversal_parity_alternates():
@@ -74,9 +79,9 @@ def test_edm_model_parameter_validation():
 
 
 def test_edm_dipole_is_odd_under_reversal():
-    model = edm_model(0.5, 1.0, 1.0, (0.0, 0.0, 1.0), 0.1)
-    t = model.spin.time_reversal
-    assert np.allclose(conjugate_operator(t, model.dipole), -model.dipole, atol=1e-12)
+    for model in (edm_model(0.5, 1.0, 1.0, (0.0, 0.0, 1.0), 0.1), edm_model(1.0, 0.0, 1.0, (0.0, 0.0, 1.0), 0.7)):
+        t = model.spin.time_reversal
+        assert np.allclose(conjugate_operator(t, model.dipole), -model.dipole, atol=1e-12)
 
 
 def test_edm_chain_spin_half_along_z():
@@ -114,6 +119,9 @@ def test_kaon_oscillation_structure():
     assert np.array_equal(model.hamiltonian, expected)
     assert model.time_reversal.antilinear
     assert np.vdot(model.k1, model.k2) == pytest.approx(0.0)
+    # the flavor states are real, so conjugation fixes them
+    for flavor in (model.k0, model.k0bar):
+        assert np.linalg.norm(apply(model.time_reversal, flavor) - flavor) <= 1e-15
     with pytest.raises(ParameterError):
         kaon_oscillation_model(0.5 + 1j, 0.7, 0.2)
 
@@ -124,6 +132,13 @@ def test_kaon_decay_commutator_norm_frozen():
     comm = cp @ model.smatrix - model.smatrix @ cp
     assert np.linalg.norm(comm) == pytest.approx(0.56568542494923812, abs=1e-12)
     assert np.linalg.norm(comm) == pytest.approx(2.0 * math.sqrt(2.0) * 0.2, abs=1e-15)
+    # S is unitary, and its commutator with CP grows as 2 sqrt(2) eps, over the whole range of eps
+    for eps in np.arange(100) / 101.0:
+        model = kaon_decay_scattering_model(eps)
+        s = model.smatrix
+        assert frobenius_norm(s.conj().T @ s - np.eye(2)) <= 1e-12
+        comm = model.cp.unitary_part @ s - s @ model.cp.unitary_part
+        assert abs(frobenius_norm(comm) - 2.0 * math.sqrt(2.0) * eps) <= 1e-12
 
 
 def test_kaon_decay_epsilon_validation():
@@ -170,7 +185,8 @@ def test_symmetrize_rejects_non_involutive_square():
 
 
 def test_t_symmetric_smatrix_is_symmetric_unitary():
-    for dim, seed in ((2, 3), (3, 14), (5, 99)):
+    # symmetric, so conjugation sends it to its inverse
+    for dim, seed in [(2, 3), (3, 14), (5, 99)] + [(2 + i % 5, 13_000 + i) for i in range(30)]:
         s = t_symmetric_smatrix(dim, seed)
         assert np.allclose(s, s.T, atol=1e-12)
         assert np.allclose(s.conj().T @ s, np.eye(dim), atol=1e-12)
@@ -186,6 +202,17 @@ def test_build_s_matrix_identities():
     v = np.diag([0.5, 0.5]).astype(complex)
     s = build_s_matrix(h0, v, -1.0, 2.0)
     assert np.allclose(s, np.exp(-1.5j) * np.eye(2), atol=1e-12)
+    for i in range(20):
+        rng = np.random.default_rng(14_000 + i)
+        dim = 2 + i % 4
+        h0, v = random_hermitian(dim, seed=2 * i), random_hermitian(dim, seed=2 * i + 1)
+        ti, tf = sorted(rng.uniform(-3, 3, 2))
+        s = build_s_matrix(h0, v, ti, tf)
+        assert frobenius_norm(s.conj().T @ s - np.eye(dim)) <= 1e-10
+        assert frobenius_norm(build_s_matrix(h0, np.zeros((dim, dim)), ti, tf) - np.eye(dim)) <= 1e-12
+        diag, diag_v = (np.diag(rng.standard_normal(dim)).astype(complex) for _ in range(2))
+        expected = mat_exp(diag_v, -1j * (tf - ti))
+        assert frobenius_norm(build_s_matrix(diag, diag_v, ti, tf) - expected) <= 1e-10
 
 
 def test_build_s_matrix_validation():
@@ -198,16 +225,17 @@ def test_build_s_matrix_validation():
 
 def test_build_s_matrix_first_order_window():
     # weak coupling: S - 1 matches the leading interaction-picture integral
-    h0 = np.diag([1.0, 2.0]).astype(complex)
-    v = 1e-3 * SIGMA_X
-    ti, tf = -0.5, 0.5
-    s = build_s_matrix(h0, v, ti, tf)
-    times = np.linspace(ti, tf, 801)
-    integrand = np.stack(
-        [
-            np.diag(np.exp(1j * np.diag(h0) * t)) @ v @ np.diag(np.exp(-1j * np.diag(h0) * t))
-            for t in times
-        ]
-    )
-    first_order = -1j * np.trapezoid(integrand, times, axis=0)
-    assert np.linalg.norm((s - np.eye(2)) - first_order) <= 1e-5
+    cases = [(np.diag([1.0, 2.0]).astype(complex), 1e-3 * SIGMA_X, -0.5, 0.5)]
+    for i in range(5):
+        v = random_hermitian(3, seed=15_000 + 2 * i)
+        cases.append((random_hermitian(3, seed=15_001 + 2 * i), 1e-3 * v / frobenius_norm(v), -1.0, 1.5))
+    for h0, v, ti, tf in cases:
+        s = build_s_matrix(h0, v, ti, tf)
+        levels, basis = np.linalg.eigh(h0)
+        times = np.linspace(ti, tf, 2001)
+        # exp(i H0 t) V exp(-i H0 t) at each time, from H0's eigenbasis
+        phases = np.exp(1j * np.multiply.outer(times, levels))
+        coupling = basis.conj().T @ v @ basis
+        integrand = basis @ (phases[:, :, None] * coupling * phases.conj()[:, None, :]) @ basis.conj().T
+        first_order = -1j * np.trapezoid(integrand, times, axis=0)
+        assert np.linalg.norm((s - np.eye(len(h0))) - first_order) <= 1e-5

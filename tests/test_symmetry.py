@@ -111,6 +111,7 @@ def test_inverse_round_trips_states(seed):
     g = _random_transform(seed)
     rng = np.random.default_rng(seed + 3)
     psi = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+    assert abs(np.linalg.norm(apply(g, psi)) - np.linalg.norm(psi)) <= 1e-12 * max(1.0, np.linalg.norm(psi))
     back = apply(inverse(g), apply(g, psi))
     assert np.linalg.norm(back - psi) <= 1e-12 * max(1.0, np.linalg.norm(psi))
     round_trip = compose(g, inverse(g))
@@ -118,11 +119,13 @@ def test_inverse_round_trips_states(seed):
     assert frobenius_norm(round_trip.unitary_part - np.eye(g.dim)) <= 1e-12
 
 
-def test_antilinear_apply_conjugates_inner_products():
-    g = SymmetryTransform(random_unitary(4, seed=21), antilinear=True)
-    rng = np.random.default_rng(0)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+@given(st.integers(0, 2_000))
+def test_antilinear_apply_conjugates_inner_products(seed):
+    dim = 2 + seed % 5
+    g = SymmetryTransform(random_unitary(dim, seed=seed), antilinear=True)
+    rng = np.random.default_rng(seed + 1)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     lhs = complex(np.vdot(apply(g, psi), apply(g, phi)))
     assert abs(lhs - np.conj(np.vdot(psi, phi))) <= 1e-12
 

@@ -33,6 +33,7 @@ from tvd import (
     kramers_square,
     oracle_compare,
     random_hermitian,
+    random_unitary,
     ray_displacement,
     run_scenario,
     spectrum_clusters,
@@ -68,7 +69,9 @@ def test_spectrum_cluster_values_are_the_bits_of_np_mean():
         spectra.append(np.sort(np.round(rng.standard_normal(n), 1)))
     for values in spectra:
         for gap_tol in (1e-16, 1e-8, 0.05, 1.0):
-            for c in spectrum_clusters(values, gap_tol).clusters:
+            grouping = spectrum_clusters(values, gap_tol)
+            assert sum(grouping.multiplicities) == values.size
+            for c in grouping.clusters:
                 mean = float(np.mean(values[c.indices[0] : c.indices[-1] + 1]))
                 assert math.copysign(1.0, c.value) == math.copysign(1.0, mean)
                 assert c.value == mean or (math.isnan(c.value) and math.isnan(mean))
@@ -114,6 +117,16 @@ def test_ray_displacement_frozen_values():
     assert ray_displacement(t, circular) == pytest.approx(1.0)
     with pytest.raises(PremiseError):
         ray_displacement(t, np.array([2.0, 0.0], dtype=complex))
+
+
+@given(st.integers(0, 2_000), st.floats(0.0, 2.0 * math.pi))
+def test_ray_displacement_is_phase_invariant(seed, theta):
+    dim = 2 + seed % 5
+    t = SymmetryTransform(random_unitary(dim, seed), antilinear=True)
+    rng = np.random.default_rng(seed + 1)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    assert abs(ray_displacement(t, psi) - ray_displacement(t, np.exp(1j * theta) * psi)) <= 1e-12
 
 
 def test_real_hamiltonian_stays_on_rays():
