@@ -111,6 +111,11 @@ def _clearly_moved(value: float, tol: Tolerances) -> bool:
     return value > 2.0 * tol.tau_violation
 
 
+def _clear_effect(value: float, tol: Tolerances) -> bool:
+    """Above half of tau_violation - tau_zero, the least effect a Violation promises, or above tau_zero."""
+    return value > min(tol.tau_zero, 0.5 * (tol.tau_violation - tol.tau_zero))
+
+
 # A commutator this close to zero, relative to ||H||, is what rounding leaves
 # of one that vanishes exactly; no evolution time may turn it into a proof.
 _COMMUTATOR_FLOOR = 64.0 * float(np.finfo(float).eps)
@@ -128,7 +133,7 @@ def _weak_breaking_moves(margin: float, h: np.ndarray, dev_i: float, dev_f: floa
     commutator = margin * max(1.0, h_norm)
     move = abs(dev_f - dev_i)
     return (
-        move > min(tol.tau_zero, 0.5 * (tol.tau_violation - tol.tau_zero))
+        _clear_effect(move, tol)
         and commutator > _COMMUTATOR_FLOOR * h_norm
         and 2.0 * abs(time) * commutator >= move
     )
@@ -265,8 +270,8 @@ def wigner(a: dict, outcome: str, tol: Tolerances) -> tuple[dict[str, float], st
         # Davis-Kahan: T v is an eigenvector of T H T^-1, so a level displaced by
         # delta with gap g puts ||T H T^-1 - H||_2 at or above g sqrt(delta (2 - delta))
         delta = displacement(k)
-        clear = delta > min(tol.tau_zero, 0.5 * (tol.tau_violation - tol.tau_zero))
-        return clear and _certified(truth, float(nearest[k]) * np.sqrt(max(0.0, delta * (2.0 - delta))), h)
+        bound = float(nearest[k]) * np.sqrt(max(0.0, delta * (2.0 - delta)))
+        return _clear_effect(delta, tol) and _certified(truth, bound, h)
 
     if outcome == VIOLATION:
         sound = bool(simple.any()) and (truth > tol.tau_zero or any(map(certifies, np.flatnonzero(simple))))

@@ -272,7 +272,8 @@ def _kabir_draws():
             s = _haar_unitary(rng, dim)
             t = SymmetryTransform(_haar_unitary(rng, dim), antilinear=True, label="T")
         states = {"in": _random_state(rng, dim), "out": _random_state(rng, dim)}
-        yield _draw({"smatrix": s}, {"T": t}, states, ("kabir", {"symmetry": "T", "state_in": "in", "state_out": "out"}))
+        yield _draw({"smatrix": s}, {"T": t}, states,
+                    ("kabir", {"symmetry": "T", "state_in": "in", "state_out": "out"}))
     yield _maximal("kabir")
 
 

@@ -271,7 +271,8 @@ def test_violation_certified_by_its_effect_agrees_below_tau_zero(case, tmp_path,
     assert record.agreed, record.note
     target = tmp_path / "certified.json"
     target.write_bytes(serialize_scenario(scenario))
-    code = main(["oracle", "--scenario", str(target), "--tol-zero", str(tau_zero), "--tol-violation", str(tau_violation)])
+    code = main(["oracle", "--scenario", str(target), "--tol-zero", str(tau_zero),
+                 "--tol-violation", str(tau_violation)])
     out = capsysbinary.readouterr().out
     assert code == 0, out
     assert b"DISAGREES" not in out
