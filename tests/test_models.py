@@ -9,9 +9,9 @@ from tvd import (
     ClassificationError,
     ParameterError,
     PremiseError,
-    apply,
     SymmetryTransform,
     Tolerances,
+    apply,
     build_s_matrix,
     conjugate_operator,
     conjugation,
