@@ -203,6 +203,15 @@ def _parse_complex_entry(entry: object, path: str) -> complex:
 # Every byte a JSON number token can hold.
 _NUMBER_BYTES = b"+-.0123456789Ee"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# "[," and ",]" as little-endian uint16 values; each adjacent byte pair of a payload
+# is one element of exactly one of its two uint16 views, from byte 0 and from byte 1
+_EMPTY_SLOT_PAIRS = np.frombuffer(b"[,,]", dtype="<u2")
+
+
+def _has_empty_slot(payload: bytes) -> bool:
+    """True when ``[,`` or ``,]`` occurs in the non-empty payload, read as two zero-copy views."""
+    views = (np.frombuffer(payload, "<u2", (len(payload) - offset) // 2, offset) for offset in (0, 1))
+    return any(_EMPTY_SLOT_PAIRS[0] in view or _EMPTY_SLOT_PAIRS[1] in view for view in views)
 
 
 def _read_compact(payload: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -210,9 +219,9 @@ def _read_compact(payload: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
 
     Returns None unless the array's brackets and commas are exactly those
     of the shape (their count is checked before anything sized by the
-    shape is built) and no slot is empty: the decoder would take a token
-    moved across a bracket into an empty slot (``[1,]0``) as that slot's.
-    With every bracket a space, the JSON decoder reads one number token
+    shape is built) and ``_has_empty_slot`` finds no empty slot: the decoder
+    would take a token moved across a bracket into one (``[1,]0``) as that
+    slot's. With every bracket a space, the JSON decoder reads one number token
     per slot and rejects any other token, parted from its slot's by a space.
     """
     shape += (2,)
@@ -225,7 +234,7 @@ def _read_compact(payload: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
     expected = b""
     for n in reversed(shape):
         expected = b"[" + b",".join([expected] * n) + b"]"
-    if skeleton != expected or b"[," in payload or b",]" in payload:
+    if skeleton != expected or _has_empty_slot(payload):
         return None
     try:
         pairs = np.array(json.loads(b"[" + payload.translate(_BRACKETS_TO_SPACES) + b"]"), dtype=np.float64)

@@ -541,6 +541,18 @@ def test_selftest_at_very_loose_tolerances_runs_every_suite(capsysbinary):
     assert out.decode().endswith("selftest: FAILED\n")
 
 
+def test_selftest_below_rounding_runs_every_suite(capsysbinary):
+    # seeded symmetries are unitary only to about 1e-15; such a draw is a failed check, not an error
+    code, out, err = run_cli(capsysbinary, "selftest", "--tol-zero", "1e-15", "--tol-violation", "1e-14")
+    assert code == 1, err.decode()
+    counts = re.findall(r"^(\w+): \d+ passed, \d+ failed$", out.decode(), re.MULTILINE)
+    assert counts == list(SUITES)
+    failures = re.findall(r"^  FAIL (.*)$", out.decode(), re.MULTILINE)
+    assert "draw passes the input checks: symmetries[0].unitary_part: unitary_part of CP is not unitary " \
+        "(deviation 1.364e-15)" in failures
+    assert out.decode().endswith("selftest: FAILED\n")
+
+
 # each detector's draws run under the suite of its module, with one maximal-breaking request
 SOUNDNESS_SUITES = {
     "unitary_curie": "curie",

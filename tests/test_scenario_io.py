@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tvd import (
@@ -427,10 +427,10 @@ def test_streamed_array_with_a_non_finite_entry_raises_the_scalar_error(arr, dat
     assert str(got.value) == str(want.value)
 
 
-def test_serializing_a_dim_128_scenario_costs_about_its_own_size():
+def _dim_128_scenario() -> Scenario:
     dim = 128
     h = random_hermitian(dim, 11)
-    scenario = Scenario(
+    return Scenario(
         dim=dim,
         matrices={"hamiltonian": h, "h0": np.diag(np.diag(h)), "smatrix": random_unitary(dim, 12)},
         symmetries={
@@ -443,6 +443,10 @@ def test_serializing_a_dim_128_scenario_costs_about_its_own_size():
             Request("kabir", {"symmetry": "T", "state_in": "psi", "state_out": "psi"}),
         ),
     )
+
+
+def test_serializing_a_dim_128_scenario_costs_about_its_own_size():
+    scenario = _dim_128_scenario()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -452,6 +456,19 @@ def test_serializing_a_dim_128_scenario_costs_about_its_own_size():
         tracemalloc.stop()
     # the document, the buffer's growth slack and one array's worth of copies
     assert peak - before < 1.25 * len(data) + 10**6
+
+
+def test_parsing_a_dim_128_scenario_costs_under_twice_its_size():
+    data = serialize_scenario(_dim_128_scenario())
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        parse_scenario(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the spliced payloads plus one array's decoding; a whole-payload boolean mask would add to it
+    assert peak - before < 1.9 * len(data)
 
 
 def _walk(raw: list) -> np.ndarray:
@@ -672,6 +689,18 @@ PAYLOAD_CASES = {
 @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
 def test_malformed_payload_gives_the_nested_result(case):
     assert_parses_like_nested(with_payload(*PAYLOAD_CASES[case]))
+
+
+# the pattern at the first and at the last byte, at both length parities
+@example(b"[,")
+@example(b",]")
+@example(b"[,0")
+@example(b"0,]")
+@example(b",]01")
+@example(b"01[,")
+@given(st.text(alphabet="[],+-.0123456789eE", min_size=2, max_size=64).map(str.encode))
+def test_empty_slot_check_finds_what_the_substring_scans_find(payload):
+    assert tvd.scenario._has_empty_slot(payload) == (b"[," in payload or b",]" in payload)
 
 
 @pytest.mark.parametrize(
