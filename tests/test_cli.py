@@ -548,8 +548,8 @@ def test_selftest_below_rounding_runs_every_suite(capsysbinary):
     counts = re.findall(r"^(\w+): \d+ passed, \d+ failed$", out.decode(), re.MULTILINE)
     assert counts == list(SUITES)
     failures = re.findall(r"^  FAIL (.*)$", out.decode(), re.MULTILINE)
-    assert "draw passes the input checks: symmetries[0].unitary_part: unitary_part of CP is not unitary " \
-        "(deviation 1.364e-15)" in failures
+    assert any(f.startswith("draw passes the input checks: symmetries[0].unitary_part: unitary_part of CP ")
+               for f in failures)
     assert out.decode().endswith("selftest: FAILED\n")
 
 
