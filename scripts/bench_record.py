@@ -21,23 +21,33 @@ own process, and a child it starts carries that process's high-water RSS
 until exec, so the metric is the larger of the benchmark process and the
 CLI. Beside it, each workload gets ``cli_peak_rss_mb``: the most of three
 ``tvd check`` runs over the workload's files, each started from a bare
-``python -S`` helper, which is the CLI's own peak.
+``python -S`` helper, which is the CLI's own peak. It covers the processes
+that ``tvd check --jobs N`` forks to parse files too, because the
+``ru_maxrss`` that ``wait4`` returns includes the descendants the CLI reaped.
+
+Each workload also gets ``calibration_eigh_s``, taken just before its runs:
+the fastest of five ``np.linalg.eigh`` calls on one seeded dim-256 Hermitian
+matrix. The work is the same on every commit, so comparing it between BENCH
+files tells a slow phase of the machine from a slower change.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ((0, "end_to_end"), (1, "per_layer"))
 CLI_PEAK_RUNS = 3
+CALIBRATION_RUNS = 5
 # started by a small process, the CLI's ru_maxrss is its own, not its parent's
 WAIT4_HELPER = (
     "import os, sys; "
@@ -101,6 +111,21 @@ def cli_peak_rss_mb(workload: str, seed: int) -> float:
     return max(peaks)
 
 
+def calibration_eigh_s() -> float:
+    """The fastest of ``CALIBRATION_RUNS`` timed ``np.linalg.eigh`` calls on one seeded dim-256 Hermitian matrix."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    h = (g + g.conj().T) / 2
+    best = math.inf
+    for _ in range(CALIBRATION_RUNS):
+        start = time.perf_counter()
+        np.linalg.eigh(h)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def next_path() -> Path:
     taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json") if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
     return ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
@@ -121,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     for workload in (w["name"] for w in benchmark["workloads"]):
-        runs = {}
+        runs = {"calibration_eigh_s": calibration_eigh_s()}
         for trace, kind in KINDS:
             print(f"{workload} --trace {trace} ...", file=sys.stderr, flush=True)
             runs[kind] = run_bench(workload, args.seed, benchmark["run_seconds"], trace)

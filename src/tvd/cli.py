@@ -5,6 +5,11 @@ scenarios, ``oracle`` re-derives every verdict from first principles and
 compares, ``selftest`` judges seeded draws of every detector with the oracle
 and replays the module invariant suites.
 
+``check --jobs N`` reads and parses later scenario files in up to N - 1
+forked children (``_parse_workers``); every detector still runs on the
+calling thread, one scenario after another, so reports and errors are those
+of ``--jobs 1``.
+
 Tolerance and seed precedence, highest first: command line flags, the
 environment (``TVD_TOL_ZERO``, ``TVD_TOL_VIOLATION``, ``TVD_SEED``),
 values in the scenario document, library defaults. Each command reads the
@@ -17,10 +22,16 @@ configuration, 3 the oracle disagreed with a verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import math
 import os
+import pickle
+import signal
+import stat
 import sys
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output file, or directory when several scenarios are given")
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
-                       help="accepted for compatibility and ignored: scenarios run one after "
-                            "another, because BLAS already uses every core and its thread "
-                            "count fixes report bits")
+                       help="read and parse later scenario files in up to N-1 forked "
+                            "processes; detectors still run one scenario after another "
+                            "on the calling thread, so reports do not change")
     _add_shared_args(check)
 
     models = sub.add_parser("models", help="emit a built-in model scenario")
@@ -142,15 +153,112 @@ def _write_payload(payload: bytes, out: str | None) -> None:
         Path(out).write_bytes(payload)
 
 
-def _run_file(path: Path, seed: int | None, overrides: dict[str, float]) -> tuple[Scenario, Tolerances, Report]:
+def _read_scenario(path: Path) -> Scenario:
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    scenario = parse_scenario(data)
+    return parse_scenario(data)
+
+
+def _run(scenario: Scenario, seed: int | None, overrides: dict[str, float]) -> tuple[Tolerances, Report]:
     tol = scenario.effective_tolerances(**overrides)
-    report = run_scenario(scenario, tolerances=tol, seed=seed)
-    return scenario, tol, report
+    return tol, run_scenario(scenario, tolerances=tol, seed=seed)
+
+
+def _send_parsed(paths: list[Path], fd: int) -> None:
+    """Read and parse ``paths``, then write one pickle per scenario to ``fd``, up to the first file that fails.
+
+    Every file is parsed before the first write, so a full pipe cannot stall
+    the parsing while the caller is still busy with its own files.
+    """
+    pickles = []
+    for path in paths:
+        try:
+            pickles.append(pickle.dumps(_read_scenario(path), pickle.HIGHEST_PROTOCOL))
+        except TvdError:
+            break
+    with open(fd, "wb") as pipe:
+        pipe.writelines(pickles)
+
+
+def _fork_parser(paths: list[Path]) -> tuple[int, io.BufferedReader] | None:
+    """A forked child parsing ``paths`` and the pipe it sends them through; None if no child started."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        # the child parses only: it never calls BLAS, whose threads fork did not copy
+        try:
+            os.close(read_fd)
+            _send_parsed(paths, write_fd)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _regular_size(path: Path) -> int | None:
+    """The size of a regular file; None for anything else (a FIFO, a terminal, a missing file)."""
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return st.st_size if stat.S_ISREG(st.st_mode) else None
+
+
+@contextlib.contextmanager
+def _parse_workers(paths: list[Path], jobs: int) -> Iterator[Callable[[int], Scenario]]:
+    """Yield ``scenario(i)``, the parsed ``paths[i]``, to be asked for in path order.
+
+    With ``jobs`` above 1, the paths are cut into ``min(jobs, len(paths))``
+    contiguous runs of about equal byte size. This process reads the first
+    run when asked; for each later run a forked child (``_fork_parser``)
+    reads and parses its regular files ahead of time. A file no child sent
+    (not a regular file, or its child failed or died) is read here when
+    asked, so every error comes from the same path as with ``jobs`` 1.
+    Every child is reaped on the way out, whatever ends the block.
+    """
+    owners: dict[int, tuple[int, io.BufferedReader]] = {}
+    try:
+        if jobs > 1 and len(paths) > 1 and hasattr(os, "fork"):
+            sizes = [_regular_size(path) for path in paths]
+            # one byte more per file, so that empty files still split by count
+            weights = [(size or 0) + 1 for size in sizes]
+            total, runs = sum(weights), min(jobs, len(paths))
+            cuts: dict[int, list[int]] = {}
+            before = 0
+            for i, weight in enumerate(weights):
+                # the run holding this file's midpoint, in halves of a byte
+                cuts.setdefault((2 * before + weight) * runs // (2 * total), []).append(i)
+                before += weight
+            for run, members in cuts.items():
+                regular = [i for i in members if sizes[i] is not None]
+                child = _fork_parser([paths[i] for i in regular]) if run > 0 and regular else None
+                if child is not None:
+                    owners.update(dict.fromkeys(regular, child))
+
+        def scenario(i: int) -> Scenario:
+            pipe = owners[i][1] if i in owners else None
+            if pipe is not None and not pipe.closed:
+                try:
+                    return pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    # a child that failed, or died, left its stream short: it sends nothing more
+                    pipe.close()
+            return _read_scenario(paths[i])
+
+        yield scenario
+    finally:
+        for pid, pipe in set(owners.values()):
+            pipe.close()
+            # a child still parsing files nobody will take is not waited for
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _render(report: Report, fmt: str) -> bytes:
@@ -170,9 +278,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 raise ConfigError(f"scenarios {other} and {path} would both write {path.stem}{suffix} under --out")
         if len(paths) > 1 and out.exists() and not out.is_dir():
             raise ConfigError(f"--out {out} is not a directory; several scenarios need a directory")
-    # One scenario after another on this thread: BLAS already spreads each
-    # product over every core, so scenario threads only contend with it.
-    payloads = [_render(_run_file(path, seed, overrides)[2], args.format) for path in paths]
+    # Detectors run one scenario after another on this thread: BLAS already
+    # spreads each product over every core, and its thread count fixes report
+    # bits. Only reading and parsing, which never call BLAS, go to workers.
+    with _parse_workers(paths, args.jobs) as scenario:
+        payloads = [_render(_run(scenario(i), seed, overrides)[1], args.format) for i in range(len(paths))]
 
     if out is None:
         for path, payload in zip(paths, payloads):
@@ -206,7 +316,9 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    scenario, tol, report = _run_file(Path(args.scenario), _seed(args), _tolerance_overrides(args))
+    seed, overrides = _seed(args), _tolerance_overrides(args)
+    scenario = _read_scenario(Path(args.scenario))
+    tol, report = _run(scenario, seed, overrides)
     records = oracle_compare(scenario, report, tol)
     _write_payload(_render(dataclasses.replace(report, oracle=records), args.format), args.out)
     return 3 if any(not rec.agreed for rec in records) else 0

@@ -57,6 +57,10 @@ class Scenario:
         for name in ("matrices", "states"):
             object.__setattr__(self, name, {k: frozen(np.asarray(v)) for k, v in getattr(self, name).items()})
 
+    def __reduce__(self) -> tuple:
+        # through the constructor, so a pickled or deep-copied scenario's arrays are frozen again
+        return (Scenario, tuple(getattr(self, f.name) for f in fields(self)))
+
     def effective_tolerances(self, **overrides: float) -> Tolerances:
         """The document's tolerances over the library defaults, and ``overrides`` over both."""
         return Tolerances(**{**(self.tolerance_overrides or {}), **overrides})

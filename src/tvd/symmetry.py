@@ -45,6 +45,10 @@ class SymmetryTransform:
         object.__setattr__(self, "unitary_part", arr)
         object.__setattr__(self, "antilinear", bool(self.antilinear))
 
+    def __reduce__(self) -> tuple:
+        # through the constructor, so a pickled or deep-copied transform's array is frozen again
+        return (SymmetryTransform, (self.unitary_part, self.antilinear, self.label))
+
     @property
     def dim(self) -> int:
         return self.unitary_part.shape[0]

@@ -13,17 +13,21 @@ from tvd import (
     DETECTORS,
     Provenance,
     Report,
+    Request,
     Tolerances,
     VerdictRecord,
     Verdict,
+    build_model_scenario,
     oracle_compare,
     parse_scenario,
     run_scenario,
+    serialize_scenario,
     shipped_scenario_paths,
 )
 import tvd.cli
 from tvd import runner
 from tvd.cli import main
+from tvd.linalg import _frozen_bytes, random_hermitian
 from tvd.selftest import SUITES, SuiteResult
 
 KAON_DECAY = shipped_scenario_paths()["kaon_decay"]
@@ -381,29 +385,162 @@ def test_invalid_utf8_scenario_is_bad_input(tmp_path, capsysbinary, command):
     assert b"Traceback" not in err
 
 
-def test_check_jobs_do_not_change_bytes(tmp_path, capsysbinary):
-    paths = [str(p) for p in sorted(shipped_scenario_paths().values())]
-    argv = ["check"] + [x for p in paths for x in ("--scenario", p)]
-    code, serial, _ = run_cli(capsysbinary, *argv, "--jobs", "1")
-    assert code == 0
-    code, threaded, _ = run_cli(capsysbinary, *argv, "--jobs", "4")
-    assert code == 0
-    assert serial == threaded
+SHIPPED = [str(p) for p in sorted(shipped_scenario_paths().values())]
 
 
-def test_check_jobs_runs_every_scenario_on_the_calling_thread(capsysbinary, monkeypatch):
-    threads = []
+def check_argv(paths):
+    return ["check"] + [x for p in paths for x in ("--scenario", str(p))]
 
-    def recording(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return run_scenario(*args, **kwargs)
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def counting():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def dim_64_files(tmp_path):
+    """Three generated dim-64 scenario files of unequal size (about 0.2, 0.4 and 0.7 MB)."""
+    base = build_model_scenario("t-symmetric-s", {"dim": 64, "seed": 3})
+    h = random_hermitian(64, 4)
+    wigner = dataclasses.replace(
+        base, matrices={**base.matrices, "hamiltonian": h}, requests=base.requests + (Request("wigner", {"symmetry": "T"}),)
+    )
+    grown = dataclasses.replace(wigner, matrices={**wigner.matrices, "h0": h, "v": random_hermitian(64, 5)})
+    paths = []
+    for stem, scenario in (("dim64_small", base), ("dim64_large", grown), ("dim64_medium", wigner)):
+        paths.append(tmp_path / f"{stem}.json")
+        paths[-1].write_bytes(serialize_scenario(scenario))
+    return paths
+
+
+def test_check_jobs_do_not_change_bytes(tmp_path, capsysbinary, monkeypatch):
+    forks = count_forks(monkeypatch)
+    argv = check_argv(SHIPPED + dim_64_files(tmp_path))
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        outputs.append(run_cli(capsysbinary, *argv, "--jobs", jobs))
+        assert_no_children()
+    assert outputs[0][0] == 0 and outputs[0][2] == b""
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    # --jobs 1 forks nothing, --jobs 2 one child, --jobs 3 two
+    assert len(forks) == 3
+
+
+def test_check_jobs_runs_every_scenario_on_the_calling_thread(tmp_path, capsysbinary, monkeypatch):
+    seen = []
+
+    def recording(scenario, *args, **kwargs):
+        arrays = [*scenario.matrices.values(), *scenario.states.values()]
+        arrays += [g.unitary_part for g in scenario.symmetries.values()]
+        frozen = all(_frozen_bytes(arr) is not None for arr in arrays)
+        seen.append((threading.get_ident(), serialize_scenario(scenario), frozen))
+        return run_scenario(scenario, *args, **kwargs)
 
     monkeypatch.setattr(tvd.cli, "run_scenario", recording)
-    paths = [str(p) for p in sorted(shipped_scenario_paths().values())]
-    argv = ["check"] + [x for p in paths for x in ("--scenario", p)]
-    code, _, _ = run_cli(capsysbinary, *argv, "--jobs", "4")
+    forks = count_forks(monkeypatch)
+    paths = SHIPPED + dim_64_files(tmp_path)
+    code, _, _ = run_cli(capsysbinary, *check_argv(paths), "--jobs", "2")
     assert code == 0
-    assert threads == [threading.get_ident()] * len(paths)
+    assert len(forks) == 1
+    assert_no_children()
+    expected = [serialize_scenario(parse_scenario(Path(p).read_bytes())) for p in paths]
+    assert seen == [(threading.get_ident(), doc, True) for doc in expected]
+
+
+def with_missing_later_file(tmp_path):
+    # by bytes, the missing file shares the third run with the medium file, which a child parses
+    paths = SHIPPED + dim_64_files(tmp_path)
+    return paths[:-1] + [tmp_path / "missing.json"] + paths[-1:]
+
+
+def with_malformed_later_file(tmp_path):
+    bad = tmp_path / "malformed.json"
+    bad.write_bytes(KAON_DECAY.read_bytes()[:-40])
+    return SHIPPED + dim_64_files(tmp_path) + [bad]
+
+
+def with_non_unitary_earlier_file(tmp_path):
+    doc = json.loads(KAON_DECAY.read_bytes())
+    doc["symmetries"][0]["unitary_part"][0][0] = [-2, 0]
+    bad = tmp_path / "non_unitary.json"
+    bad.write_text(json.dumps(doc))
+    return [bad] + SHIPPED + dim_64_files(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "files, err",
+    [
+        (with_missing_later_file, b"error: cannot read scenario "),
+        (with_malformed_later_file, b"error: invalid JSON: "),
+        (with_non_unitary_earlier_file, b"error: symmetries[0].unitary_part: unitary_part of CP is not unitary"),
+    ],
+)
+def test_check_jobs_fail_like_one_job(tmp_path, capsysbinary, monkeypatch, files, err):
+    forks = count_forks(monkeypatch)
+    argv = check_argv(files(tmp_path))
+    serial = run_cli(capsysbinary, *argv, "--jobs", "1")
+    assert forks == []
+    assert serial[:2] == (2, b"") and serial[2].startswith(err)
+    assert run_cli(capsysbinary, *argv, "--jobs", "3") == serial
+    assert len(forks) == 2
+    assert_no_children()
+
+
+def test_check_jobs_read_what_a_failed_child_did_not_send(tmp_path, capsysbinary, monkeypatch):
+    argv = check_argv(SHIPPED + dim_64_files(tmp_path))
+    serial = run_cli(capsysbinary, *argv, "--jobs", "1")
+    monkeypatch.setattr(tvd.cli, "_send_parsed", lambda paths, fd: os._exit(1))
+    forks = count_forks(monkeypatch)
+    assert run_cli(capsysbinary, *argv, "--jobs", "2") == serial
+    assert len(forks) == 1
+    assert_no_children()
+
+
+def test_check_jobs_fork_at_most_n_minus_one_children(tmp_path, capsysbinary, monkeypatch):
+    paths = []
+    for k in range(20):
+        paths.append(tmp_path / f"kaon_{k}.json")
+        paths[-1].write_bytes(KAON_DECAY.read_bytes())
+    forks = count_forks(monkeypatch)
+    serial = run_cli(capsysbinary, *check_argv(paths), "--jobs", "1")
+    assert serial[0] == 0 and forks == []
+    assert run_cli(capsysbinary, *check_argv(paths), "--jobs", "3") == serial
+    assert len(forks) == 2
+    assert_no_children()
+
+
+def test_check_jobs_read_a_fifo_in_the_calling_process(tmp_path, capsysbinary, monkeypatch):
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    sent = []
+    real_fork_parser = tvd.cli._fork_parser
+    monkeypatch.setattr(tvd.cli, "_fork_parser", lambda paths: sent.append(paths) or real_fork_parser(paths))
+    writer = threading.Thread(target=fifo.write_bytes, args=(CPT_LINK.read_bytes(),))
+    writer.start()
+    try:
+        # by bytes, the fifo and the last file make the second of two runs
+        code, out, _ = run_cli(capsysbinary, *check_argv([KAON_DECAY, CPT_LINK, fifo, KAON_DECAY]), "--jobs", "2")
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert code == 0
+    assert sent == [[KAON_DECAY]]
+    assert out == run_cli(capsysbinary, *check_argv([KAON_DECAY, CPT_LINK, CPT_LINK, KAON_DECAY]), "--jobs", "1")[1]
+    assert_no_children()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import importlib.util
 import json
+import pickle
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -31,7 +33,7 @@ from tvd import (
     shipped_scenario_paths,
 )
 import tvd.scenario
-from tvd.linalg import _content_key, frozen, herm_eig, random_hermitian, random_unitary
+from tvd.linalg import _content_key, _frozen_bytes, frozen, herm_eig, random_hermitian, random_unitary
 from tvd.scenario import _format_real
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -787,6 +789,21 @@ def test_parsed_arrays_cannot_be_made_writable():
             arr.setflags(write=True)
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("copy_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+def test_pickled_and_deep_copied_scenarios_keep_frozen_arrays(copy_of):
+    scenario = parse_scenario(shipped_scenario_paths()["kaon_decay"].read_bytes())
+    copied = copy_of(scenario)
+    arrays = [*copied.matrices.values(), *copied.states.values()]
+    arrays += [g.unitary_part for g in copied.symmetries.values()]
+    assert arrays and all(_frozen_bytes(arr) is not None for arr in arrays)
+    assert serialize_scenario(copied) == serialize_scenario(scenario)
+    assert copied.requests == scenario.requests
+    t = copy_of(scenario.symmetries["CP"])
+    assert _frozen_bytes(t.unitary_part) is not None
+    assert (t.antilinear, t.label) == (False, "CP")
+    assert np.array_equal(t.unitary_part, scenario.symmetries["CP"].unitary_part)
 
 
 def test_memo_key_of_a_parsed_matrix_holds_its_own_buffer():
