@@ -529,7 +529,7 @@ def test_check_jobs_read_a_fifo_in_the_calling_process(tmp_path, capsysbinary, m
     sent = []
     real_fork_parser = tvd.cli._fork_parser
     monkeypatch.setattr(tvd.cli, "_fork_parser", lambda paths: sent.append(paths) or real_fork_parser(paths))
-    writer = threading.Thread(target=fifo.write_bytes, args=(CPT_LINK.read_bytes(),))
+    writer = threading.Thread(target=fifo.write_bytes, args=(CPT_LINK.read_bytes(),), daemon=True)
     writer.start()
     try:
         # by bytes, the fifo and the last file make the second of two runs
