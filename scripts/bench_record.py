@@ -21,9 +21,10 @@ own process, and a child it starts carries that process's high-water RSS
 until exec, so the metric is the larger of the benchmark process and the
 CLI. Beside it, each workload gets ``cli_peak_rss_mb``: the most of three
 ``tvd check`` runs over the workload's files, each started from a bare
-``python -S`` helper, which is the CLI's own peak. It covers the processes
-that ``tvd check --jobs N`` forks to parse files too, because the
-``ru_maxrss`` that ``wait4`` returns includes the descendants the CLI reaped.
+``python -S`` helper, which is the CLI's own peak. The ``ru_maxrss`` that
+``wait4`` returns is the largest single process among the CLI and the parse
+workers it forked and reaped, not their sum: the memory that the CLI and
+its workers hold at the same time is not measured.
 
 Each workload also gets ``calibration_eigh_s``, taken just before its runs:
 the fastest of five ``np.linalg.eigh`` calls on one seeded dim-256 Hermitian

@@ -5,10 +5,10 @@ scenarios, ``oracle`` re-derives every verdict from first principles and
 compares, ``selftest`` judges seeded draws of every detector with the oracle
 and replays the module invariant suites.
 
-``check --jobs N`` reads and parses later scenario files in up to N - 1
-forked children (``_parse_workers``); every detector still runs on the
-calling thread, one scenario after another, so reports and errors are those
-of ``--jobs 1``.
+``check`` over several files reads and parses the later ones in one forked
+child per further usable CPU (``_parse_workers``); every detector still runs
+on the calling thread, one scenario after another, so reports and errors are
+those of a one-CPU run. ``--jobs N`` is accepted and ignored.
 
 Tolerance and seed precedence, highest first: command line flags, the
 environment (``TVD_TOL_ZERO``, ``TVD_TOL_VIOLATION``, ``TVD_SEED``),
@@ -120,9 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output file, or directory when several scenarios are given")
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
-                       help="read and parse later scenario files in up to N-1 forked "
-                            "processes; detectors still run one scenario after another "
-                            "on the calling thread, so reports do not change")
+                       help="accepted and ignored: later scenario files are parsed in "
+                            "one forked process per further usable CPU, and detectors "
+                            "run one scenario after another on the calling thread")
     _add_shared_args(check)
 
     models = sub.add_parser("models", help="emit a built-in model scenario")
@@ -167,24 +167,27 @@ def _run(scenario: Scenario, seed: int | None, overrides: dict[str, float]) -> t
 
 
 def _send_parsed(paths: list[Path], fd: int) -> None:
-    """Read and parse ``paths``, then write one pickle per scenario to ``fd``, up to the first file that fails.
+    """Read and parse ``paths``, writing each scenario's pickle to ``fd`` as it is parsed, up to the first file that fails.
 
-    Every file is parsed before the first write, so a full pipe cannot stall
-    the parsing while the caller is still busy with its own files.
+    A full pipe holds the writer until the caller takes that scenario, so a
+    child is never more than one parsed file ahead of the caller.
     """
-    pickles = []
-    for path in paths:
-        try:
-            pickles.append(pickle.dumps(_read_scenario(path), pickle.HIGHEST_PROTOCOL))
-        except TvdError:
-            break
     with open(fd, "wb") as pipe:
-        pipe.writelines(pickles)
+        for path in paths:
+            try:
+                scenario = _read_scenario(path)
+            except TvdError:
+                break
+            pickle.dump(scenario, pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.flush()
 
 
 def _fork_parser(paths: list[Path]) -> tuple[int, io.BufferedReader] | None:
     """A forked child parsing ``paths`` and the pipe it sends them through; None if no child started."""
-    read_fd, write_fd = os.pipe()
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -202,45 +205,41 @@ def _fork_parser(paths: list[Path]) -> tuple[int, io.BufferedReader] | None:
     return pid, open(read_fd, "rb")
 
 
-def _regular_size(path: Path) -> int | None:
-    """The size of a regular file; None for anything else (a FIFO, a terminal, a missing file)."""
+def _is_regular(path: Path) -> bool:
+    """Whether ``path`` is a regular file, and not a FIFO, a terminal or a missing file."""
     try:
-        st = path.stat()
+        return stat.S_ISREG(path.stat().st_mode)
     except OSError:
-        return None
-    return st.st_size if stat.S_ISREG(st.st_mode) else None
+        return False
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @contextlib.contextmanager
-def _parse_workers(paths: list[Path], jobs: int) -> Iterator[Callable[[int], Scenario]]:
+def _parse_workers(paths: list[Path]) -> Iterator[Callable[[int], Scenario]]:
     """Yield ``scenario(i)``, the parsed ``paths[i]``, to be asked for in path order.
 
-    With ``jobs`` above 1, the paths are cut into ``min(jobs, len(paths))``
-    contiguous runs of about equal byte size. This process reads the first
-    run when asked; for each later run a forked child (``_fork_parser``)
-    reads and parses its regular files ahead of time. A file no child sent
-    (not a regular file, or its child failed or died) is read here when
-    asked, so every error comes from the same path as with ``jobs`` 1.
-    Every child is reaped on the way out, whatever ends the block.
+    The paths are dealt round-robin into ``min(len(paths), usable CPUs)``
+    runs. This process reads the first run when asked; for each later run a
+    forked child (``_fork_parser``) reads and parses its regular files ahead
+    of time. A file no child sent (not a regular file, or its child failed,
+    died or could not start) is read here when asked, so every error comes
+    from the same path as with one CPU. Every child is reaped on the way
+    out, whatever ends the block.
     """
     owners: dict[int, tuple[int, io.BufferedReader]] = {}
     try:
-        if jobs > 1 and len(paths) > 1 and hasattr(os, "fork"):
-            sizes = [_regular_size(path) for path in paths]
-            # one byte more per file, so that empty files still split by count
-            weights = [(size or 0) + 1 for size in sizes]
-            total, runs = sum(weights), min(jobs, len(paths))
-            cuts: dict[int, list[int]] = {}
-            before = 0
-            for i, weight in enumerate(weights):
-                # the run holding this file's midpoint, in halves of a byte
-                cuts.setdefault((2 * before + weight) * runs // (2 * total), []).append(i)
-                before += weight
-            for run, members in cuts.items():
-                regular = [i for i in members if sizes[i] is not None]
-                child = _fork_parser([paths[i] for i in regular]) if run > 0 and regular else None
-                if child is not None:
-                    owners.update(dict.fromkeys(regular, child))
+        runs = min(len(paths), _usable_cpus()) if hasattr(os, "fork") else 1
+        for run in range(1, runs):
+            members = [i for i in range(run, len(paths), runs) if _is_regular(paths[i])]
+            child = _fork_parser([paths[i] for i in members]) if members else None
+            if child is not None:
+                owners.update(dict.fromkeys(members, child))
 
         def scenario(i: int) -> Scenario:
             pipe = owners[i][1] if i in owners else None
@@ -281,7 +280,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # Detectors run one scenario after another on this thread: BLAS already
     # spreads each product over every core, and its thread count fixes report
     # bits. Only reading and parsing, which never call BLAS, go to workers.
-    with _parse_workers(paths, args.jobs) as scenario:
+    with _parse_workers(paths) as scenario:
         payloads = [_render(_run(scenario(i), seed, overrides)[1], args.format) for i in range(len(paths))]
 
     if out is None:

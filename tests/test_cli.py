@@ -427,17 +427,23 @@ def dim_64_files(tmp_path):
     return paths
 
 
+def usable_cpus(monkeypatch, n):
+    """Make ``tvd check`` see ``n`` usable CPUs; 1 gives the serial path, which forks nothing."""
+    monkeypatch.setattr(tvd.cli, "_usable_cpus", lambda: n)
+
+
 def test_check_jobs_do_not_change_bytes(tmp_path, capsysbinary, monkeypatch):
     forks = count_forks(monkeypatch)
     argv = check_argv(SHIPPED + dim_64_files(tmp_path))
     outputs = []
-    for jobs in ("1", "2", "3"):
+    # --jobs is ignored: the usable CPUs set the number of children
+    for cpus, jobs in ((1, "3"), (2, "1"), (3, "2")):
+        usable_cpus(monkeypatch, cpus)
         outputs.append(run_cli(capsysbinary, *argv, "--jobs", jobs))
+        assert len(forks) == sum(range(cpus))
         assert_no_children()
     assert outputs[0][0] == 0 and outputs[0][2] == b""
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    # --jobs 1 forks nothing, --jobs 2 one child, --jobs 3 two
-    assert len(forks) == 3
 
 
 def test_check_jobs_runs_every_scenario_on_the_calling_thread(tmp_path, capsysbinary, monkeypatch):
@@ -451,9 +457,10 @@ def test_check_jobs_runs_every_scenario_on_the_calling_thread(tmp_path, capsysbi
         return run_scenario(scenario, *args, **kwargs)
 
     monkeypatch.setattr(tvd.cli, "run_scenario", recording)
+    usable_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     paths = SHIPPED + dim_64_files(tmp_path)
-    code, _, _ = run_cli(capsysbinary, *check_argv(paths), "--jobs", "2")
+    code, _, _ = run_cli(capsysbinary, *check_argv(paths))
     assert code == 0
     assert len(forks) == 1
     assert_no_children()
@@ -462,15 +469,17 @@ def test_check_jobs_runs_every_scenario_on_the_calling_thread(tmp_path, capsysbi
 
 
 def with_missing_later_file(tmp_path):
-    # by bytes, the missing file shares the third run with the medium file, which a child parses
+    # dealt into three runs, the missing file (index 8) falls in a child's run
     paths = SHIPPED + dim_64_files(tmp_path)
     return paths[:-1] + [tmp_path / "missing.json"] + paths[-1:]
 
 
 def with_malformed_later_file(tmp_path):
+    # dealt into three runs, the malformed file (index 8) falls in a child's run, which stops there
     bad = tmp_path / "malformed.json"
     bad.write_bytes(KAON_DECAY.read_bytes()[:-40])
-    return SHIPPED + dim_64_files(tmp_path) + [bad]
+    paths = SHIPPED + dim_64_files(tmp_path)
+    return paths[:-1] + [bad] + paths[-1:]
 
 
 def with_non_unitary_earlier_file(tmp_path):
@@ -489,57 +498,110 @@ def with_non_unitary_earlier_file(tmp_path):
         (with_non_unitary_earlier_file, b"error: symmetries[0].unitary_part: unitary_part of CP is not unitary"),
     ],
 )
-def test_check_jobs_fail_like_one_job(tmp_path, capsysbinary, monkeypatch, files, err):
+def test_check_workers_fail_like_one_cpu(tmp_path, capsysbinary, monkeypatch, files, err):
     forks = count_forks(monkeypatch)
     argv = check_argv(files(tmp_path))
-    serial = run_cli(capsysbinary, *argv, "--jobs", "1")
+    usable_cpus(monkeypatch, 1)
+    serial = run_cli(capsysbinary, *argv)
     assert forks == []
     assert serial[:2] == (2, b"") and serial[2].startswith(err)
-    assert run_cli(capsysbinary, *argv, "--jobs", "3") == serial
+    usable_cpus(monkeypatch, 3)
+    assert run_cli(capsysbinary, *argv) == serial
     assert len(forks) == 2
     assert_no_children()
 
 
-def test_check_jobs_read_what_a_failed_child_did_not_send(tmp_path, capsysbinary, monkeypatch):
+def test_check_workers_read_what_a_failed_child_did_not_send(tmp_path, capsysbinary, monkeypatch):
     argv = check_argv(SHIPPED + dim_64_files(tmp_path))
-    serial = run_cli(capsysbinary, *argv, "--jobs", "1")
+    usable_cpus(monkeypatch, 1)
+    serial = run_cli(capsysbinary, *argv)
     monkeypatch.setattr(tvd.cli, "_send_parsed", lambda paths, fd: os._exit(1))
+    usable_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    assert run_cli(capsysbinary, *argv, "--jobs", "2") == serial
+    assert run_cli(capsysbinary, *argv) == serial
     assert len(forks) == 1
     assert_no_children()
 
 
-def test_check_jobs_fork_at_most_n_minus_one_children(tmp_path, capsysbinary, monkeypatch):
+def test_check_forks_one_child_per_further_cpu(tmp_path, capsysbinary, monkeypatch):
     paths = []
     for k in range(20):
         paths.append(tmp_path / f"kaon_{k}.json")
         paths[-1].write_bytes(KAON_DECAY.read_bytes())
     forks = count_forks(monkeypatch)
-    serial = run_cli(capsysbinary, *check_argv(paths), "--jobs", "1")
+    usable_cpus(monkeypatch, 1)
+    serial = run_cli(capsysbinary, *check_argv(paths), "--jobs", "20")
     assert serial[0] == 0 and forks == []
-    assert run_cli(capsysbinary, *check_argv(paths), "--jobs", "3") == serial
+    usable_cpus(monkeypatch, 3)
+    assert run_cli(capsysbinary, *check_argv(paths), "--jobs", "20") == serial
     assert len(forks) == 2
     assert_no_children()
 
 
-def test_check_jobs_read_a_fifo_in_the_calling_process(tmp_path, capsysbinary, monkeypatch):
+def test_check_reads_every_file_itself_when_no_pipe_can_be_opened(capsysbinary, monkeypatch):
+    resource = pytest.importorskip("resource")
+    argv = check_argv(SHIPPED)
+    usable_cpus(monkeypatch, 1)
+    serial = run_cli(capsysbinary, *argv)
+    usable_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    held = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        # this process only: every descriptor below the limit but one is taken, so a pipe
+        # (two descriptors) cannot be opened while a scenario file (one) still can
+        resource.setrlimit(resource.RLIMIT_NOFILE, (min(soft, held[0] + 16), hard))
+        with pytest.raises(OSError):
+            while True:
+                held.append(os.open(os.devnull, os.O_RDONLY))
+        os.close(held.pop())
+        got = run_cli(capsysbinary, *argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        for fd in held:
+            os.close(fd)
+    assert got == serial
+    assert forks == []
+    assert_no_children()
+
+
+def test_child_sends_each_scenario_before_parsing_the_next(monkeypatch):
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(read_fd, False)
+    waiting = []
+
+    def reading(path):
+        # the bytes already in the pipe when the next file is read
+        waiting.append(len(os.read(read_fd, 1 << 20)) if waiting else 0)
+        return parse_scenario(path.read_bytes())
+
+    monkeypatch.setattr(tvd.cli, "_read_scenario", reading)
+    try:
+        tvd.cli._send_parsed([CPT_LINK, KAON_DECAY], write_fd)
+    finally:
+        os.close(read_fd)
+    assert waiting[0] == 0 and waiting[1] > 0
+
+
+def test_check_workers_leave_a_fifo_to_the_calling_process(tmp_path, capsysbinary, monkeypatch):
     fifo = tmp_path / "fifo.json"
     os.mkfifo(fifo)
     sent = []
     real_fork_parser = tvd.cli._fork_parser
     monkeypatch.setattr(tvd.cli, "_fork_parser", lambda paths: sent.append(paths) or real_fork_parser(paths))
+    usable_cpus(monkeypatch, 2)
     writer = threading.Thread(target=fifo.write_bytes, args=(CPT_LINK.read_bytes(),), daemon=True)
     writer.start()
     try:
-        # by bytes, the fifo and the last file make the second of two runs
-        code, out, _ = run_cli(capsysbinary, *check_argv([KAON_DECAY, CPT_LINK, fifo, KAON_DECAY]), "--jobs", "2")
+        # dealt into two runs, the fifo and the last file make the child's run
+        code, out, _ = run_cli(capsysbinary, *check_argv([KAON_DECAY, fifo, CPT_LINK, KAON_DECAY]))
     finally:
         writer.join(timeout=30)
     assert not writer.is_alive()
     assert code == 0
     assert sent == [[KAON_DECAY]]
-    assert out == run_cli(capsysbinary, *check_argv([KAON_DECAY, CPT_LINK, CPT_LINK, KAON_DECAY]), "--jobs", "1")[1]
+    usable_cpus(monkeypatch, 1)
+    assert out == run_cli(capsysbinary, *check_argv([KAON_DECAY, CPT_LINK, CPT_LINK, KAON_DECAY]))[1]
     assert_no_children()
 
 
