@@ -6,9 +6,12 @@ compares, ``selftest`` judges seeded draws of every detector with the oracle
 and replays the module invariant suites.
 
 ``check`` over several files reads and parses the later ones in one forked
-child per further usable CPU (``_parse_workers``); every detector still runs
-on the calling thread, one scenario after another, so reports and errors are
-those of a one-CPU run. ``--jobs N`` is accepted and ignored.
+child per further usable CPU (``_parse_workers``). A file the command parses
+itself (``oracle``'s, or ``check``'s when there are fewer files than usable
+CPUs) has its arrays' numbers decoded in one forked child per CPU the files
+leave idle as well (``_decode_forked``). Every detector still runs on the
+calling thread, one scenario after another, so reports and errors are those
+of a one-CPU run. ``--jobs N`` is accepted and ignored.
 
 Tolerance and seed precedence, highest first: command line flags, the
 environment (``TVD_TOL_ZERO``, ``TVD_TOL_VIOLATION``, ``TVD_SEED``),
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -40,7 +44,7 @@ from .builders import MODEL_NAMES, build_model_scenario
 from .config import Tolerances
 from .errors import ConfigError, TvdError
 from .runner import oracle_compare, render_text, run_scenario
-from .scenario import Report, Scenario, parse_scenario, serialize_report, serialize_scenario
+from .scenario import Report, Scenario, _decode_numbers, _parse_scenario, serialize_report, serialize_scenario
 from .selftest import SUITES
 
 ENV_TOL_ZERO = "TVD_TOL_ZERO"
@@ -121,8 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
                        help="accepted and ignored: later scenario files are parsed in "
-                            "one forked process per further usable CPU, and detectors "
-                            "run one scenario after another on the calling thread")
+                            "one forked process per further usable CPU, CPUs left over "
+                            "decode the arrays of the files the command parses itself, "
+                            "and detectors run one scenario after another on the "
+                            "calling thread")
     _add_shared_args(check)
 
     models = sub.add_parser("models", help="emit a built-in model scenario")
@@ -153,12 +159,13 @@ def _write_payload(payload: bytes, out: str | None) -> None:
         Path(out).write_bytes(payload)
 
 
-def _read_scenario(path: Path) -> Scenario:
+def _read_scenario(path: Path, helpers: int = 0) -> Scenario:
+    """Read and parse ``path``, its arrays' numbers decoded over ``helpers`` forked children as well (``_decode_forked``)."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    return parse_scenario(data)
+    return _parse_scenario(data, functools.partial(_decode_forked, helpers) if helpers > 0 else None)
 
 
 def _run(scenario: Scenario, seed: int | None, overrides: dict[str, float]) -> tuple[Tolerances, Report]:
@@ -182,8 +189,20 @@ def _send_parsed(paths: list[Path], fd: int) -> None:
             pipe.flush()
 
 
-def _fork_parser(paths: list[Path]) -> tuple[int, io.BufferedReader] | None:
-    """A forked child parsing ``paths`` and the pipe it sends them through; None if no child started."""
+def _send_decoded(payloads: dict[str, bytes], fd: int) -> None:
+    """Decode every payload, then write their numbers by placeholder (None if undecodable) to ``fd`` as one pickle.
+
+    Nothing is written before the last payload is decoded: a pipe filled
+    early would hold the writer until the caller, busy with its own share,
+    came to read.
+    """
+    decoded = {key: _decode_numbers(payload) for key, payload in payloads.items()}
+    with open(fd, "wb") as pipe:
+        pickle.dump(decoded, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _fork(work: Callable[[int], None]) -> tuple[int, io.BufferedReader] | None:
+    """A forked child running ``work`` on the write end of a pipe, and the read end; None if no child started."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -195,14 +214,59 @@ def _fork_parser(paths: list[Path]) -> tuple[int, io.BufferedReader] | None:
         os.close(write_fd)
         return None
     if pid == 0:
-        # the child parses only: it never calls BLAS, whose threads fork did not copy
+        # the child parses or decodes only: it never calls BLAS, whose threads fork did not copy
         try:
             os.close(read_fd)
-            _send_parsed(paths, write_fd)
+            work(write_fd)
         finally:
             os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")
+
+
+@contextlib.contextmanager
+def _forked(works: list[Callable[[int], None]]) -> Iterator[list[io.BufferedReader | None]]:
+    """Yield the pipe each of ``works`` sends through from its own forked child (``_fork``), or None where none started.
+
+    Every pipe is closed and every child killed and reaped on the way out,
+    whatever ends the block: a child still working for a caller that has
+    stopped reading is not waited for.
+    """
+    children: list[tuple[int, io.BufferedReader] | None] = []
+    try:
+        for work in works:
+            children.append(_fork(work))
+        yield [child[1] if child else None for child in children]
+    finally:
+        for pid, pipe in filter(None, children):
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _decode_forked(helpers: int, payloads: dict[str, bytes]) -> dict[str, np.ndarray | None]:
+    """Decode ``payloads`` (``_decode_numbers``) in this process and ``helpers`` forked children.
+
+    The payloads are dealt by byte size, largest first, each to the share
+    with the fewest bytes so far; this process keeps the first share and
+    decodes it while the children decode theirs. A share whose child did
+    not start, or whose stream is short or broken, is left out, and the
+    parse decodes it itself.
+    """
+    shares: list[dict[str, bytes]] = [{} for _ in range(min(helpers + 1, len(payloads)))]
+    sizes = [0] * len(shares)
+    for key in sorted(payloads, key=lambda key: len(payloads[key]), reverse=True):
+        lightest = sizes.index(min(sizes))
+        shares[lightest][key] = payloads[key]
+        sizes[lightest] += len(payloads[key])
+    with _forked([functools.partial(_send_decoded, share) for share in shares[1:]]) as pipes:
+        decoded = {key: _decode_numbers(payload) for key, payload in shares[0].items()}
+        for pipe in filter(None, pipes):
+            try:
+                decoded.update(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                pass
+    return decoded
 
 
 def _is_regular(path: Path) -> bool:
@@ -214,7 +278,9 @@ def _is_regular(path: Path) -> bool:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on; 1 without ``os.fork``, which could not use more."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -226,38 +292,31 @@ def _parse_workers(paths: list[Path]) -> Iterator[Callable[[int], Scenario]]:
 
     The paths are dealt round-robin into ``min(len(paths), usable CPUs)``
     runs. This process reads the first run when asked; for each later run a
-    forked child (``_fork_parser``) reads and parses its regular files ahead
+    forked child (``_send_parsed``) reads and parses its regular files ahead
     of time. A file no child sent (not a regular file, or its child failed,
     died or could not start) is read here when asked, so every error comes
-    from the same path as with one CPU. Every child is reaped on the way
-    out, whatever ends the block.
+    from the same path as with one CPU. A file read here has its arrays
+    decoded over the CPUs the runs leave idle (``_decode_forked``). Every
+    child is reaped on the way out, whatever ends the block.
     """
-    owners: dict[int, tuple[int, io.BufferedReader]] = {}
-    try:
-        runs = min(len(paths), _usable_cpus()) if hasattr(os, "fork") else 1
-        for run in range(1, runs):
-            members = [i for i in range(run, len(paths), runs) if _is_regular(paths[i])]
-            child = _fork_parser([paths[i] for i in members]) if members else None
-            if child is not None:
-                owners.update(dict.fromkeys(members, child))
+    cpus = _usable_cpus()
+    runs = min(len(paths), cpus)
+    members = [[i for i in range(run, len(paths), runs) if _is_regular(paths[i])] for run in range(1, runs)]
+    members = [run for run in members if run]
+    with _forked([functools.partial(_send_parsed, [paths[i] for i in run]) for run in members]) as pipes:
+        owners = {i: pipe for run, pipe in zip(members, pipes) if pipe is not None for i in run}
 
         def scenario(i: int) -> Scenario:
-            pipe = owners[i][1] if i in owners else None
+            pipe = owners.get(i)
             if pipe is not None and not pipe.closed:
                 try:
                     return pickle.load(pipe)
                 except (EOFError, pickle.UnpicklingError):
                     # a child that failed, or died, left its stream short: it sends nothing more
                     pipe.close()
-            return _read_scenario(paths[i])
+            return _read_scenario(paths[i], cpus - runs)
 
         yield scenario
-    finally:
-        for pid, pipe in set(owners.values()):
-            pipe.close()
-            # a child still parsing files nobody will take is not waited for
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _render(report: Report, fmt: str) -> bytes:
@@ -316,7 +375,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     seed, overrides = _seed(args), _tolerance_overrides(args)
-    scenario = _read_scenario(Path(args.scenario))
+    scenario = _read_scenario(Path(args.scenario), _usable_cpus() - 1)
     tol, report = _run(scenario, seed, overrides)
     records = oracle_compare(scenario, report, tol)
     _write_payload(_render(dataclasses.replace(report, oracle=records), args.format), args.out)

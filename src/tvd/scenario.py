@@ -218,15 +218,33 @@ def _has_empty_slot(payload: bytes) -> bool:
     return any(_EMPTY_SLOT_PAIRS[0] in view or _EMPTY_SLOT_PAIRS[1] in view for view in views)
 
 
-def _read_compact(payload: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Read a compact JSON array of ``[re, im]`` pairs at ``shape`` as one flat list.
+def _decode_numbers(payload: bytes) -> np.ndarray | None:
+    """The numbers of a compact array payload as one flat float array, whatever its shape.
+
+    Returns None when ``_has_empty_slot`` finds an empty slot (the decoder
+    would take a token moved across a bracket into one, ``[1,]0``, as that
+    slot's), when the decoder rejects a token, or when a number is not
+    finite. With every bracket a space, the JSON decoder reads one number
+    token per slot and rejects any other token, parted from its slot's by
+    a space. Only ``json`` and numpy's array constructor run here, never BLAS.
+    """
+    if _has_empty_slot(payload):
+        return None
+    try:
+        pairs = np.array(json.loads(b"[" + payload.translate(_BRACKETS_TO_SPACES) + b"]"), dtype=np.float64)
+    except (json.JSONDecodeError, OverflowError):
+        return None
+    return pairs if np.isfinite(pairs).all() else None
+
+
+def _read_compact(payload: bytes, shape: tuple[int, ...], pairs: np.ndarray | None = None) -> np.ndarray | None:
+    """Read a compact JSON array of ``[re, im]`` pairs at ``shape``.
 
     Returns None unless the array's brackets and commas are exactly those
     of the shape (their count is checked before anything sized by the
-    shape is built) and ``_has_empty_slot`` finds no empty slot: the decoder
-    would take a token moved across a bracket into one (``[1,]0``) as that
-    slot's. With every bracket a space, the JSON decoder reads one number token
-    per slot and rejects any other token, parted from its slot's by a space.
+    shape is built) and its numbers decode (``_decode_numbers``). ``pairs``
+    is the payload's already decoded numbers, if any; otherwise they are
+    decoded here, once the layout has passed.
     """
     shape += (2,)
     skeleton = payload.translate(None, _NUMBER_BYTES)
@@ -238,13 +256,11 @@ def _read_compact(payload: bytes, shape: tuple[int, ...]) -> np.ndarray | None:
     expected = b""
     for n in reversed(shape):
         expected = b"[" + b",".join([expected] * n) + b"]"
-    if skeleton != expected or _has_empty_slot(payload):
+    if skeleton != expected:
         return None
-    try:
-        pairs = np.array(json.loads(b"[" + payload.translate(_BRACKETS_TO_SPACES) + b"]"), dtype=np.float64)
-    except (json.JSONDecodeError, OverflowError):
-        return None
-    if not np.isfinite(pairs).all():
+    if pairs is None:
+        pairs = _decode_numbers(payload)
+    if pairs is None:
         return None
     return frozen(pairs.view(np.complex128).reshape(shape[:-1]))
 
@@ -281,14 +297,22 @@ def _splice(data: bytes) -> tuple[bytes, dict[str, bytes]] | None:
     return b"".join(parts), payloads
 
 
-def _read_spliced(payloads: dict[str, bytes], raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
+# a spliced array's text, and its numbers if they were decoded before the document walk
+_Spliced = dict[str, tuple[bytes, np.ndarray | None]]
+# maps spliced payloads, by placeholder, to their decoded numbers (None: undecodable);
+# a placeholder it leaves out is decoded during the walk
+_Decoder = Callable[[dict[str, bytes]], Mapping[str, np.ndarray | None]]
+
+
+def _read_spliced(payloads: _Spliced, raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
     """The array that a placeholder stands for, claimed once; None for any other value."""
     if type(raw) is str and raw in payloads:
-        return _read_compact(payloads.pop(raw), shape)
+        payload, pairs = payloads.pop(raw)
+        return _read_compact(payload, shape, pairs)
     return None
 
 
-def _parse_matrix(raw: object, dim: int, path: str, payloads: dict[str, bytes]) -> np.ndarray:
+def _parse_matrix(raw: object, dim: int, path: str, payloads: _Spliced) -> np.ndarray:
     fast = _read_spliced(payloads, raw, (dim, dim))
     if fast is not None:
         return fast
@@ -300,7 +324,7 @@ def _parse_matrix(raw: object, dim: int, path: str, payloads: dict[str, bytes]) 
     return frozen(np.array(rows, dtype=complex))
 
 
-def _parse_vector(raw: object, dim: int, path: str, payloads: dict[str, bytes]) -> np.ndarray:
+def _parse_vector(raw: object, dim: int, path: str, payloads: _Spliced) -> np.ndarray:
     fast = _read_spliced(payloads, raw, (dim,))
     if fast is not None:
         return fast
@@ -341,19 +365,41 @@ def parse_scenario(data: bytes | str) -> Scenario:
     routes give the same arrays, bit for bit, and every error comes from
     ``_parse_nested``.
     """
+    return _parse_scenario(data, None)
+
+
+def _parse_scenario(data: bytes | str, decode: _Decoder | None) -> Scenario:
+    """``parse_scenario``, with the compact arrays' numbers decoded by ``decode`` before the walk, if given."""
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    scenario = _parse_compact(raw, decode)
+    return scenario if scenario is not None else _parse_nested(data)
+
+
+def _parse_compact(raw: bytes, decode: _Decoder | None) -> Scenario | None:
+    """The scenario read on the compact route, or None for a document it does not read.
+
+    It reads a document only when it reads every spliced array, so one
+    array ``decode`` finds undecodable is enough to stop.
+    """
     spliced = _splice(raw)
-    if spliced is not None:
-        text, payloads = spliced
-        try:
-            scenario = _parse_document(json.loads(text.decode("utf-8")), payloads)
-        except (UnicodeDecodeError, json.JSONDecodeError, ScenarioError):
-            pass
-        else:
-            # a placeholder anywhere but at a matrix or a state is never claimed
-            if not payloads:
-                return scenario
-    return _parse_nested(data)
+    if spliced is None:
+        return None
+    text, payloads = spliced
+    try:
+        doc = json.loads(text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    decoded = decode(payloads) if decode is not None and payloads else {}
+    if any(pairs is None for pairs in decoded.values()):
+        return None
+    # each payload is let go as the walk claims it
+    claims = {key: (payloads.pop(key), decoded.get(key)) for key in list(payloads)}
+    try:
+        scenario = _parse_document(doc, claims)
+    except ScenarioError:
+        return None
+    # a placeholder anywhere but at a matrix or a state is never claimed
+    return scenario if not claims else None
 
 
 def _parse_nested(data: bytes | str) -> Scenario:
@@ -370,7 +416,7 @@ def _parse_nested(data: bytes | str) -> Scenario:
     return _parse_document(doc, {})
 
 
-def _parse_document(doc: object, payloads: dict[str, bytes]) -> Scenario:
+def _parse_document(doc: object, payloads: _Spliced) -> Scenario:
     _expect(isinstance(doc, dict), "document must be a JSON object", "document")
     _reject_unknown(doc, _TOP_FIELDS, "")
 

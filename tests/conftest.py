@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -17,3 +19,23 @@ def clear_memos() -> None:
 def cold_memos():
     """Start every test with empty memo tables, so no result depends on test order."""
     clear_memos()
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the children ``os.fork`` starts from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def counting():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks

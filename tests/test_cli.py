@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from conftest import assert_no_children, count_forks
 
 from tvd import (
     DETECTORS,
@@ -392,26 +394,6 @@ def check_argv(paths):
     return ["check"] + [x for p in paths for x in ("--scenario", str(p))]
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def count_forks(monkeypatch):
-    """The pids of the children ``os.fork`` starts from now on."""
-    forks = []
-    real_fork = os.fork
-
-    def counting():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
 def dim_64_files(tmp_path):
     """Three generated dim-64 scenario files of unequal size (about 0.2, 0.4 and 0.7 MB)."""
     base = build_model_scenario("t-symmetric-s", {"dim": 64, "seed": 3})
@@ -428,7 +410,7 @@ def dim_64_files(tmp_path):
 
 
 def usable_cpus(monkeypatch, n):
-    """Make ``tvd check`` see ``n`` usable CPUs; 1 gives the serial path, which forks nothing."""
+    """Make ``tvd check`` and ``tvd oracle`` see ``n`` usable CPUs; 1 gives the serial path, which forks nothing."""
     monkeypatch.setattr(tvd.cli, "_usable_cpus", lambda: n)
 
 
@@ -587,8 +569,9 @@ def test_check_workers_leave_a_fifo_to_the_calling_process(tmp_path, capsysbinar
     fifo = tmp_path / "fifo.json"
     os.mkfifo(fifo)
     sent = []
-    real_fork_parser = tvd.cli._fork_parser
-    monkeypatch.setattr(tvd.cli, "_fork_parser", lambda paths: sent.append(paths) or real_fork_parser(paths))
+    real_fork = tvd.cli._fork
+    # each child's work is _send_parsed bound to its files
+    monkeypatch.setattr(tvd.cli, "_fork", lambda work: sent.append(work.args[0]) or real_fork(work))
     usable_cpus(monkeypatch, 2)
     writer = threading.Thread(target=fifo.write_bytes, args=(CPT_LINK.read_bytes(),), daemon=True)
     writer.start()
@@ -603,6 +586,107 @@ def test_check_workers_leave_a_fifo_to_the_calling_process(tmp_path, capsysbinar
     usable_cpus(monkeypatch, 1)
     assert out == run_cli(capsysbinary, *check_argv([KAON_DECAY, CPT_LINK, CPT_LINK, KAON_DECAY]))[1]
     assert_no_children()
+
+
+def dim_256_file(tmp_path):
+    """A generated dim-256 scenario file of about 8 MB, four compact arrays of the same size among its payloads."""
+    base = build_model_scenario("t-symmetric-s", {"dim": 256, "seed": 5})
+    scenario = dataclasses.replace(
+        base, matrices={**base.matrices, "hamiltonian": random_hermitian(256, 6), "h0": random_hermitian(256, 7)}
+    )
+    path = tmp_path / "dim256.json"
+    path.write_bytes(serialize_scenario(scenario))
+    return path
+
+
+def scenario_arrays(scenario):
+    """Every array of a scenario by place, as its shape, dtype, bytes and whether it views an immutable buffer."""
+    arrays = {f"matrices.{name}": m for name, m in scenario.matrices.items()}
+    arrays.update({f"states.{name}": v for name, v in scenario.states.items()})
+    arrays.update({f"symmetries.{label}": g.unitary_part for label, g in scenario.symmetries.items()})
+    return {key: (a.shape, a.dtype.str, a.tobytes(), _frozen_bytes(a) is not None) for key, a in arrays.items()}
+
+
+def test_forked_decoder_gives_the_serial_scenario_bit_for_bit(tmp_path, monkeypatch):
+    forks = count_forks(monkeypatch)
+    for path in [*map(Path, SHIPPED), *dim_64_files(tmp_path), dim_256_file(tmp_path)]:
+        serial = parse_scenario(path.read_bytes())
+        want = (serialize_scenario(serial), scenario_arrays(serial))
+        assert all(frozen for *_, frozen in want[1].values())
+        for helpers in (1, 2):
+            before = len(forks)
+            got = tvd.cli._read_scenario(path, helpers)
+            assert (serialize_scenario(got), scenario_arrays(got)) == want, (path.name, helpers)
+            assert len(forks) > before
+            assert_no_children()
+
+
+def oracle_at(capsysbinary, monkeypatch, cpus, path):
+    usable_cpus(monkeypatch, cpus)
+    return run_cli(capsysbinary, "oracle", "--scenario", str(path), "--format", "json")
+
+
+def test_oracle_decodes_a_lone_file_over_the_usable_cpus(tmp_path, capsysbinary, monkeypatch):
+    path = dim_64_files(tmp_path)[1]
+    forks = count_forks(monkeypatch)
+    serial = oracle_at(capsysbinary, monkeypatch, 1, path)
+    assert serial[0] == 0 and serial[2] == b""
+    assert forks == []
+    for cpus in (2, 3):
+        assert oracle_at(capsysbinary, monkeypatch, cpus, path) == serial
+        assert len(forks) == sum(range(cpus))
+        assert_no_children()
+
+
+def test_oracle_decodes_what_a_failed_child_did_not_send(tmp_path, capsysbinary, monkeypatch):
+    path = dim_64_files(tmp_path)[1]
+    serial = oracle_at(capsysbinary, monkeypatch, 1, path)
+    monkeypatch.setattr(tvd.cli, "_send_decoded", lambda payloads, fd: os._exit(1))
+    forks = count_forks(monkeypatch)
+    assert oracle_at(capsysbinary, monkeypatch, 2, path) == serial
+    assert len(forks) == 1
+    assert_no_children()
+
+
+def test_check_decodes_the_files_it_parses_on_the_cpus_the_runs_leave(tmp_path, capsysbinary, monkeypatch):
+    argv = check_argv(dim_64_files(tmp_path)[:2])
+    forks = count_forks(monkeypatch)
+    usable_cpus(monkeypatch, 1)
+    serial = run_cli(capsysbinary, *argv)
+    assert serial[0] == 0 and serial[2] == b""
+    # one parse worker from two CPUs on; the spare CPUs decode the file this process parses
+    for cpus, children in ((2, 1), (3, 2), (4, 3)):
+        del forks[:]
+        usable_cpus(monkeypatch, cpus)
+        assert run_cli(capsysbinary, *argv) == serial
+        assert len(forks) == children
+        assert_no_children()
+
+
+def test_decoding_child_writes_nothing_before_its_last_payload(monkeypatch):
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(read_fd, False)
+    waiting = []
+    real_decode = tvd.cli._decode_numbers
+
+    def decoding(payload):
+        # the bytes already in the pipe when the next payload is decoded
+        try:
+            waiting.append(len(os.read(read_fd, 1 << 20)))
+        except BlockingIOError:
+            waiting.append(0)
+        return real_decode(payload)
+
+    monkeypatch.setattr(tvd.cli, "_decode_numbers", decoding)
+    payloads = {"\x000": b"[[1,0],[0,0.5]]", "\x001": b"[[[1,2]],[[3,4]]]"}
+    try:
+        tvd.cli._send_decoded(payloads, write_fd)
+        with open(read_fd, "rb", closefd=False) as pipe:
+            sent = pickle.load(pipe)
+    finally:
+        os.close(read_fd)
+    assert waiting == [0, 0]
+    assert {key: pairs.tolist() for key, pairs in sent.items()} == {"\x000": [1, 0, 0, 0.5], "\x001": [1, 2, 3, 4]}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pickle
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from conftest import assert_no_children, count_forks
 
 from tvd import (
     OracleRecord,
@@ -32,6 +34,7 @@ from tvd import (
     serialize_scenario,
     shipped_scenario_paths,
 )
+import tvd.cli
 import tvd.scenario
 from tvd.linalg import _content_key, _frozen_bytes, frozen, herm_eig, random_hermitian, random_unitary
 from tvd.scenario import _format_real
@@ -691,6 +694,38 @@ PAYLOAD_CASES = {
 @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
 def test_malformed_payload_gives_the_nested_result(case):
     assert_parses_like_nested(with_payload(*PAYLOAD_CASES[case]))
+
+
+def decode_all(payloads):
+    return {key: tvd.scenario._decode_numbers(payload) for key, payload in payloads.items()}
+
+
+def decode_first(payloads):
+    # the rest are left to the walk
+    return decode_all(dict(list(payloads.items())[:1]))
+
+
+@pytest.mark.parametrize("decode", [decode_all, decode_first])
+@pytest.mark.parametrize("case", sorted(PAYLOAD_CASES) + ["valid"])
+def test_numbers_decoded_before_the_walk_give_the_serial_result(case, decode):
+    data = with_payload(*PAYLOAD_CASES[case]) if case != "valid" else FROZEN_SCENARIO_BYTES
+    assert outcome(partial(tvd.scenario._parse_scenario, decode=decode), data) == outcome(parse_scenario, data)
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
+def test_malformed_payload_fails_the_oracle_at_two_cpus_as_at_one(case, tmp_path, capsysbinary, monkeypatch):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(with_payload(*PAYLOAD_CASES[case]))
+    forks = count_forks(monkeypatch)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(tvd.cli, "_usable_cpus", lambda: cpus)
+        code = tvd.cli.main(["oracle", "--scenario", str(path), "--format", "json"])
+        results.append((code, *capsysbinary.readouterr()))
+        # a document whose text between the arrays does not parse decodes nothing
+        assert len(forks) <= cpus - 1
+        assert_no_children()
+    assert results[1] == results[0]
 
 
 # the pattern at the first and at the last byte, at both length parities
