@@ -98,7 +98,7 @@ def cli_peak_rss_mb(workload: str, seed: int) -> float:
         for stem, scenario in wl.generated.items():
             paths[stem] = Path(tmp) / f"{stem}.json"
             paths[stem].write_bytes(serialize_scenario(scenario))
-        args = ["check", "--jobs", str(workloads.JOBS), "--out", str(Path(tmp) / "out")]
+        args = ["check", "--out", str(Path(tmp) / "out")]
         for stem in sorted(paths):
             args += ["--scenario", str(paths[stem])]
         peaks = []

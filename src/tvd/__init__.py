@@ -86,8 +86,6 @@ from .scenario import (
 )
 from .selftest import SUITES, SuiteResult
 from .symmetry import (
-    COMMUTANT,
-    TIME_REVERSAL_UNITARY,
     InvarianceMargin,
     SymmetryTransform,
     apply,
@@ -97,7 +95,6 @@ from .symmetry import (
     cpt_link_inference,
     invariance_margin,
     inverse,
-    time_reversal_consistency,
 )
 from .verdict import (
     NO_CONCLUSION,
@@ -112,10 +109,8 @@ from .wigner import (
     OTHER,
     PLUS_IDENTITY,
     Cluster,
-    KramersReport,
     SpectrumClusters,
     TSquareClass,
-    kramers_degeneracy_verify,
     kramers_square,
     ray_displacement,
     spectrum_clusters,

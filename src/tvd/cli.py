@@ -94,7 +94,10 @@ def _tolerance_overrides(args: argparse.Namespace) -> dict[str, float]:
 
 
 def _at_least_one(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -132,8 +132,7 @@ def s_matrix_inference(
     """Push a scattering-level violation down to the full Hamiltonian.
 
     If R commutes with the free Hamiltonian but not with the S-matrix,
-    the interacting dynamics cannot commute with R either. Both inputs
-    must be commutant margins.
+    the interacting dynamics cannot commute with R either.
     """
     notes = (
         "symmetry does not commute with the free Hamiltonian",
@@ -141,5 +140,5 @@ def s_matrix_inference(
         "S-matrix margin falls in the hysteresis band",
         "S-matrix margin is consistent with zero",
     )
-    names, keys = ("r_h0_margin", "r_s_margin"), ("free_hamiltonian_margin", "smatrix_margin")
-    return commutant_inference(r_h0_margin, r_s_margin, f"{label} on H", tol, names, keys, notes)
+    keys = ("free_hamiltonian_margin", "smatrix_margin")
+    return commutant_inference(r_h0_margin, r_s_margin, f"{label} on H", tol, keys, notes)

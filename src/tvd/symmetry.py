@@ -22,15 +22,10 @@ from .linalg import (
     dagger,
     frobenius_norm,
     frozen,
-    mat_exp,
     memoised,
-    require_hermitian,
     require_unitary,
 )
 from .verdict import REASON_PREMISE_UNMET, Verdict, classify, require_finite
-
-COMMUTANT = "commutant"
-TIME_REVERSAL_UNITARY = "time_reversal_unitary"
 
 
 @dataclass(frozen=True)
@@ -108,14 +103,9 @@ def conjugate_operator(g: SymmetryTransform, a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InvarianceMargin:
-    """A scalar distance from exact invariance.
-
-    ``comparison_kind`` records which comparison produced the value so
-    that downstream inferences cannot mix incompatible margins.
-    """
+    """A scalar distance from exact invariance, as ``invariance_margin`` computes it."""
 
     value: float
-    comparison_kind: str
 
 
 def invariance_margin(g: SymmetryTransform, a: np.ndarray) -> InvarianceMargin:
@@ -131,26 +121,7 @@ def invariance_margin(g: SymmetryTransform, a: np.ndarray) -> InvarianceMargin:
 def _margin(u: np.ndarray, antilinear: bool, arr: np.ndarray, *, g: SymmetryTransform) -> InvarianceMargin:
     """The margin of A under g, whose unitary part ``u`` and ``antilinear`` flag key it."""
     value = frobenius_norm(conjugate_operator(g, arr) - arr) / max(1.0, frobenius_norm(arr))
-    return InvarianceMargin(value=value, comparison_kind=COMMUTANT)
-
-
-def time_reversal_consistency(
-    t: SymmetryTransform,
-    h: np.ndarray,
-    time: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> InvarianceMargin:
-    """Distance between ``T exp(-itH) T^-1`` and ``exp(+itH)``.
-
-    Zero exactly when the candidate reversal sends forward evolution to
-    backward evolution.
-    """
-    require_transform(t, True, tol, "time reversal consistency requires an antilinear transform")
-    arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
-    forward = mat_exp(arr, -1j * time)
-    backward = mat_exp(arr, 1j * time)
-    value = frobenius_norm(conjugate_operator(t, forward) - backward) / max(1.0, float(t.dim))
-    return InvarianceMargin(value=value, comparison_kind=TIME_REVERSAL_UNITARY)
+    return InvarianceMargin(value=value)
 
 
 def commutant_inference(
@@ -158,21 +129,17 @@ def commutant_inference(
     deciding: InvarianceMargin,
     symmetry: str,
     tol: Tolerances,
-    names: tuple[str, str],
     keys: tuple[str, str],
     notes: tuple[str, str, str, str],
 ) -> Verdict:
     """A Violation of ``symmetry`` when ``premise`` commutes and ``deciding`` does not.
 
-    Both margins must be finite commutant margins; ``names`` are their
-    argument names and ``keys`` their witness keys. The premise holds at or
-    below ``tau_zero``; ``classify`` then decides on the other margin.
-    ``notes`` are the witness notes for premise unmet, violation, band and
-    zero, in that order.
+    Both margins must be finite; ``keys`` are their witness keys. The premise
+    holds at or below ``tau_zero``; ``classify`` then decides on the other
+    margin. ``notes`` are the witness notes for premise unmet, violation, band
+    and zero, in that order.
     """
-    for margin, name, key in zip((premise, deciding), names, keys):
-        if margin.comparison_kind != COMMUTANT:
-            raise MisuseError(f"{name} must be a commutant margin, got {margin.comparison_kind!r}")
+    for margin, key in zip((premise, deciding), keys):
         require_finite(margin.value, key)
     witness = dict(zip(keys, (premise.value, deciding.value)))
     unmet, violation, band, zero = ({"note": note} for note in notes)
@@ -190,7 +157,7 @@ def cpt_link_inference(
 
     When the composite CPT transform commutes with the dynamics while CP
     alone does not, time reversal invariance must fail as well. Both
-    margins must be commutant margins against the same Hamiltonian.
+    margins must be taken against the same Hamiltonian.
     """
     notes = (
         "composite CPT transform does not commute with the dynamics",
@@ -198,5 +165,5 @@ def cpt_link_inference(
         "CP margin falls in the hysteresis band",
         "CP margin is consistent with zero",
     )
-    names = ("cpt_margin", "cp_margin")
-    return commutant_inference(cpt_margin, cp_margin, "T", tol, names, names, notes)
+    keys = ("cpt_margin", "cp_margin")
+    return commutant_inference(cpt_margin, cp_margin, "T", tol, keys, notes)

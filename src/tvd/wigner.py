@@ -3,9 +3,9 @@
 An antiunitary transform commuting with H maps each eigenspace of H to
 itself. A non-degenerate eigenvector must therefore stay on its own ray;
 if it visibly moves, the transform cannot commute with H. When the
-transform squares to minus the identity, commuting with H additionally
-forces every eigenvalue to be degenerate with even multiplicity, which
-gives an independent structural check.
+transform squares to minus the identity, it moves every state to an
+orthogonal one (Kramers): a commuting such T leaves no level simple,
+and any simple level is displaced by one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .linalg import (
     require_hermitian,
     require_normalized,
 )
-from .symmetry import InvarianceMargin, SymmetryTransform, apply, invariance_margin, require_transform
+from .symmetry import SymmetryTransform, apply, require_transform
 from .verdict import (
     REASON_BELOW_THRESHOLD,
     REASON_INDETERMINATE,
@@ -203,67 +203,3 @@ def wigner_principle_check(
         else (REASON_BELOW_THRESHOLD, "every non-degenerate eigenvector stays on its ray")
     )
     return Verdict.no_conclusion(reason, witness={"note": note, "multiplicities": multiplicities})
-
-
-@dataclass(frozen=True)
-class KramersReport:
-    """Outcome of the even-multiplicity consistency check."""
-
-    applicable: bool
-    passed: bool | None
-    reason: str
-    t_square: TSquareClass
-    invariance: InvarianceMargin
-    clusters: SpectrumClusters | None
-    parities: tuple[str, ...]
-    failing_cluster: Cluster | None
-
-
-def kramers_degeneracy_verify(
-    h: np.ndarray,
-    t: SymmetryTransform,
-    gap_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> KramersReport:
-    """Check forced even degeneracy for ``T^2 = -1`` and ``[T, H] = 0``.
-
-    Not applicable unless both premises hold; when applicable, every
-    eigenvalue cluster must have even multiplicity and the first
-    offending cluster is reported otherwise.
-    """
-    arr = require_hermitian(h, tol=tol.tau_zero, name="hamiltonian")
-    square = kramers_square(t, tol=tol)
-    margin = invariance_margin(t, arr)
-    effective_gap = tol.gap_tol if gap_tol is None else float(gap_tol)
-
-    unmet = ""
-    if square.classification != MINUS_IDENTITY:
-        unmet = f"transform squares to {square.classification}, not minus identity"
-    elif margin.value > tol.tau_zero:
-        unmet = f"transform does not commute with the Hamiltonian (margin {margin.value:.3e})"
-    if unmet:
-        return KramersReport(
-            applicable=False,
-            passed=None,
-            reason=unmet,
-            t_square=square,
-            invariance=margin,
-            clusters=None,
-            parities=(),
-            failing_cluster=None,
-        )
-
-    decomp = herm_eig(arr, tol=tol)
-    clusters = spectrum_clusters(decomp.eigenvalues, effective_gap)
-    parities = tuple("even" if c.multiplicity % 2 == 0 else "odd" for c in clusters.clusters)
-    failing = next((c for c in clusters.clusters if c.multiplicity % 2 != 0), None)
-    return KramersReport(
-        applicable=True,
-        passed=failing is None,
-        reason="" if failing is None else f"cluster at {failing.value:.6g} has odd multiplicity {failing.multiplicity}",
-        t_square=square,
-        invariance=margin,
-        clusters=clusters,
-        parities=parities,
-        failing_cluster=failing,
-    )

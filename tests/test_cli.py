@@ -689,14 +689,15 @@ def test_decoding_child_writes_nothing_before_its_last_payload(monkeypatch):
     assert {key: pairs.tolist() for key, pairs in sent.items()} == {"\x000": [1, 0, 0, 0.5], "\x001": [1, 2, 3, 4]}
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
 def test_check_jobs_below_one_is_bad_input(capsysbinary, jobs):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--scenario", str(KAON_DECAY), "--jobs", jobs])
     captured = capsysbinary.readouterr()
     assert exc.value.code == 2
     assert captured.out == b""
-    assert f"argument --jobs: must be at least 1, got {jobs}".encode() in captured.err
+    message = f"must be an integer, got '{jobs}'" if jobs == "x" else f"must be at least 1, got {jobs}"
+    assert f"argument --jobs: {message}\n".encode() in captured.err
 
 
 def test_env_tolerance_softens_verdict_and_flag_wins(capsysbinary, monkeypatch):
@@ -773,10 +774,10 @@ def test_selftest_counts_at_default_tolerances(capsysbinary):
     assert code == 0
     assert out.decode() == (
         "linalg: 80 passed, 0 failed\n"
-        "symmetry: 22 passed, 0 failed\n"
+        "symmetry: 2 passed, 0 failed\n"
         "curie: 6 passed, 0 failed\n"
         "kabir: 2 passed, 0 failed\n"
-        "wigner: 6 passed, 0 failed\n"
+        "wigner: 3 passed, 0 failed\n"
         "models: 9 passed, 0 failed\n"
         "scenario_io: 2 passed, 0 failed\n"
         "selftest: OK\n"
@@ -821,6 +822,9 @@ def test_selftest_at_very_loose_tolerances_runs_every_suite(capsysbinary):
     assert code == 1, err.decode()
     counts = re.findall(r"^(\w+): \d+ passed, \d+ failed$", out.decode(), re.MULTILINE)
     assert counts == list(SUITES)
+    # a commutant margin at or below tau_zero is not zero at tolerances this loose
+    failures = re.findall(r"^  FAIL (.*)$", out.decode(), re.MULTILINE)
+    assert failures == ["simple level forbids commuting minus-identity reversal"]
     assert out.decode().endswith("selftest: FAILED\n")
 
 

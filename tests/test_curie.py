@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from tvd import (
-    COMMUTANT,
     NO_CONCLUSION,
     REASON_BELOW_THRESHOLD,
     REASON_INDETERMINATE,
     REASON_PREMISE_UNMET,
-    TIME_REVERSAL_UNITARY,
     VIOLATION,
     ClassificationError,
     InvarianceMargin,
@@ -156,27 +154,20 @@ def test_scattering_requires_unitary_s_and_linear_r():
 
 
 def test_inference_decision_table():
-    fired = s_matrix_inference(InvarianceMargin(0.0, COMMUTANT), InvarianceMargin(0.4, COMMUTANT), label="CP")
+    fired = s_matrix_inference(InvarianceMargin(0.0), InvarianceMargin(0.4), label="CP")
     assert fired.outcome == VIOLATION
     assert fired.violated_symmetry == "CP on H"
     assert fired.margin == 0.4
 
-    premise = s_matrix_inference(InvarianceMargin(0.3, COMMUTANT), InvarianceMargin(0.4, COMMUTANT))
+    premise = s_matrix_inference(InvarianceMargin(0.3), InvarianceMargin(0.4))
     assert premise.reason == REASON_PREMISE_UNMET
 
-    below = s_matrix_inference(InvarianceMargin(0.0, COMMUTANT), InvarianceMargin(0.0, COMMUTANT))
+    below = s_matrix_inference(InvarianceMargin(0.0), InvarianceMargin(0.0))
     assert below.reason == REASON_BELOW_THRESHOLD
 
-    band = s_matrix_inference(InvarianceMargin(0.0, COMMUTANT), InvarianceMargin(5e-8, COMMUTANT))
+    band = s_matrix_inference(InvarianceMargin(0.0), InvarianceMargin(5e-8))
     assert band.reason == REASON_INDETERMINATE
 
-
-def test_inference_rejects_wrong_margin_kind():
-    with pytest.raises(MisuseError):
-        s_matrix_inference(
-            InvarianceMargin(0.0, TIME_REVERSAL_UNITARY),
-            InvarianceMargin(0.4, COMMUTANT),
-        )
 
 
 def test_verdicts_are_deterministic():

@@ -6,12 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tvd import (
-    COMMUTANT,
     NO_CONCLUSION,
     REASON_BELOW_THRESHOLD,
     REASON_INDETERMINATE,
     REASON_PREMISE_UNMET,
-    TIME_REVERSAL_UNITARY,
     VIOLATION,
     ClassificationError,
     DimensionMismatchError,
@@ -29,7 +27,6 @@ from tvd import (
     inverse,
     random_hermitian,
     random_unitary,
-    time_reversal_consistency,
 )
 from tvd.symmetry import require_transform
 
@@ -56,12 +53,8 @@ def test_rejects_non_unitary_part():
     loose = Tolerances(tau_zero=3.0, tau_violation=4.0)
     require_transform(doubled, True, loose)
     require_transform(doubled, None, loose)
-    for check in (
-        lambda: require_transform(doubled, None, Tolerances()),
-        lambda: time_reversal_consistency(doubled, np.eye(2), 1.0),
-    ):
-        with pytest.raises(ClassificationError, match=r"^unitary_part of T is not unitary \(deviation 3\.000e\+00\)$"):
-            check()
+    with pytest.raises(ClassificationError, match=r"^unitary_part of T is not unitary \(deviation 3\.000e\+00\)$"):
+        require_transform(doubled, None, Tolerances())
     with pytest.raises(MisuseError, match="^wrong kind$"):
         require_transform(doubled, False, loose, "wrong kind")
 
@@ -141,9 +134,7 @@ def test_conjugate_operator_is_a_morphism(seed):
 
 
 def test_invariance_margin_spin_half_reversal_on_sigma_z():
-    margin = invariance_margin(SPIN_HALF_T, SIGMA_Z)
-    assert margin.comparison_kind == COMMUTANT
-    assert abs(margin.value - 2.0) <= 1e-12
+    assert abs(invariance_margin(SPIN_HALF_T, SIGMA_Z).value - 2.0) <= 1e-12
 
 
 def test_invariance_margin_zero_for_commuting_pair():
@@ -151,50 +142,22 @@ def test_invariance_margin_zero_for_commuting_pair():
     assert invariance_margin(conjugation(2), h).value <= 1e-15
 
 
-def test_time_reversal_consistency_requires_antilinear():
-    with pytest.raises(MisuseError):
-        time_reversal_consistency(SymmetryTransform(np.eye(2), antilinear=False), SIGMA_Z, 1.0)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_time_reversal_consistency_rejects_an_overflowing_propagator():
-    h = np.diag([1e308, -1e308]).astype(complex)
-    with pytest.raises(ClassificationError, match="exp\\(scale \\* a\\) overflows"):
-        time_reversal_consistency(conjugation(2), h, 2.5)
-
-
-def test_time_reversal_consistency_vanishes_iff_invariant():
-    h = np.array([[1.0, 0.3], [0.3, -0.5]], dtype=complex)
-    for t in (-2.0, 0.5, 3.7):
-        assert time_reversal_consistency(conjugation(2), h, t).value <= 1e-12
-    # sigma_y anticommutes with conjugation, the defect shows at generic times
-    assert time_reversal_consistency(conjugation(2), SIGMA_Y, 1.0).value > 1e-6
-
-
 def test_cpt_link_gates():
     tol = Tolerances()
-    fired = cpt_link_inference(InvarianceMargin(0.0, COMMUTANT), InvarianceMargin(0.5, COMMUTANT))
+    fired = cpt_link_inference(InvarianceMargin(0.0), InvarianceMargin(0.5))
     assert fired.outcome == VIOLATION
     assert fired.violated_symmetry == "T"
     assert fired.margin == 0.5
 
-    premise = cpt_link_inference(InvarianceMargin(0.1, COMMUTANT), InvarianceMargin(0.5, COMMUTANT))
+    premise = cpt_link_inference(InvarianceMargin(0.1), InvarianceMargin(0.5))
     assert premise.outcome == NO_CONCLUSION
     assert premise.reason == REASON_PREMISE_UNMET
 
-    below = cpt_link_inference(InvarianceMargin(0.0, COMMUTANT), InvarianceMargin(0.0, COMMUTANT))
+    below = cpt_link_inference(InvarianceMargin(0.0), InvarianceMargin(0.0))
     assert below.reason == REASON_BELOW_THRESHOLD
 
     band = cpt_link_inference(
-        InvarianceMargin(0.0, COMMUTANT),
-        InvarianceMargin((tol.tau_zero + tol.tau_violation) / 2, COMMUTANT),
+        InvarianceMargin(0.0),
+        InvarianceMargin((tol.tau_zero + tol.tau_violation) / 2),
     )
     assert band.reason == REASON_INDETERMINATE
-
-
-def test_cpt_link_rejects_wrong_margin_kind():
-    with pytest.raises(MisuseError):
-        cpt_link_inference(
-            InvarianceMargin(0.0, TIME_REVERSAL_UNITARY),
-            InvarianceMargin(0.5, COMMUTANT),
-        )

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tvd import (
-    COMMUTANT,
     DEFAULT_TOLERANCES,
     NO_CONCLUSION,
     REASON_BELOW_THRESHOLD,
@@ -75,11 +74,11 @@ def kabir(value: float) -> Verdict:
 
 
 def s_matrix(value: float) -> Verdict:
-    return s_matrix_inference(InvarianceMargin(0.0, COMMUTANT), InvarianceMargin(value, COMMUTANT))
+    return s_matrix_inference(InvarianceMargin(0.0), InvarianceMargin(value))
 
 
 def cpt_link(value: float) -> Verdict:
-    return cpt_link_inference(InvarianceMargin(0.0, COMMUTANT), InvarianceMargin(value, COMMUTANT))
+    return cpt_link_inference(InvarianceMargin(0.0), InvarianceMargin(value))
 
 
 DETECTORS = {
@@ -120,14 +119,14 @@ def test_ladder_edges(name, value, expected):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_premise_margin_is_a_premise_error(value):
-    premise = InvarianceMargin(value, COMMUTANT)
-    deciding = InvarianceMargin(0.5, COMMUTANT)
+    premise = InvarianceMargin(value)
+    deciding = InvarianceMargin(0.5)
     with pytest.raises(PremiseError, match="^free_hamiltonian_margin is not finite"):
         s_matrix_inference(premise, deciding)
     with pytest.raises(PremiseError, match="^cpt_margin is not finite"):
         cpt_link_inference(premise, deciding)
     # an unmet premise still reports the deciding margin, so it must be finite too
-    unmet = InvarianceMargin(0.5, COMMUTANT)
+    unmet = InvarianceMargin(0.5)
     with pytest.raises(PremiseError, match="^cp_margin is not finite"):
         cpt_link_inference(unmet, premise)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +28,6 @@ from tvd import (
     conjugation,
     herm_eig,
     kaon_oscillation_model,
-    kramers_degeneracy_verify,
     kramers_square,
     oracle_compare,
     random_hermitian,
@@ -191,44 +189,18 @@ def test_check_judges_the_transform_at_its_own_tau_zero():
         wigner_principle_check(h, nearly, tol=strict)
 
 
-def test_kramers_verify_forces_even_multiplicities():
-    # sigma_y flip on two doubled levels commutes and squares to minus one
-    h = np.diag([1.0, 1.0, 3.0, 3.0]).astype(complex)
+def test_kramers_cases_under_a_minus_identity_reversal():
+    # kron(I, i sigma_y)·K squares to minus one and commutes with two doubled
+    # levels: no level is simple, so the check has no premise
     u = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    # interleave so each pair (2k, 2k+1) shares an eigenvalue
     t = SymmetryTransform(u.astype(complex), antilinear=True, label="T")
-    report = kramers_degeneracy_verify(h, t)
-    assert report.applicable
-    assert report.passed
-    assert report.parities == ("even", "even")
-    assert report.failing_cluster is None
-
-
-def test_kramers_verify_not_applicable_for_plus_square():
-    report = kramers_degeneracy_verify(np.diag([1.0, 2.0]).astype(complex), conjugation(2))
-    assert not report.applicable
-    assert report.passed is None
-    assert "not minus identity" in report.reason
-
-
-def test_kramers_verify_not_applicable_without_commutation():
-    h = np.diag([1.0, 2.0]).astype(complex)
-    report = kramers_degeneracy_verify(h, SIGMA_Y_FLIP)
-    assert not report.applicable
-    assert "does not commute" in report.reason
-    assert report.invariance.value > 1e-6
-
-
-def test_kramers_verify_negative_control_flags_odd_cluster():
-    # loosened thresholds force the premises through on a split spectrum
-    h = 0.1 * np.diag([1.0, -1.0]).astype(complex)
-    loose = dataclasses.replace(DEFAULT_TOLERANCES, tau_zero=0.5, tau_violation=1.0)
-    report = kramers_degeneracy_verify(h, SIGMA_Y_FLIP, tol=loose)
-    assert report.applicable
-    assert report.passed is False
-    assert report.failing_cluster is not None
-    assert report.failing_cluster.multiplicity == 1
-    assert "odd multiplicity" in report.reason
+    verdict = wigner_principle_check(np.diag([1.0, 1.0, 3.0, 3.0]).astype(complex), t)
+    assert (verdict.outcome, verdict.reason) == (NO_CONCLUSION, REASON_PREMISE_UNMET)
+    assert verdict.witness["multiplicities"] == [2, 2]
+    # a split spectrum has simple levels, each moved to an orthogonal state
+    verdict = wigner_principle_check(0.1 * np.diag([1.0, -1.0]).astype(complex), SIGMA_Y_FLIP)
+    assert verdict.outcome == VIOLATION
+    assert verdict.witness["ray_displacement"] == 1.0
 
 
 def test_first_simple_level_off_the_unit_sphere_fails_first():
