@@ -25,6 +25,7 @@ from tvd import (
     frobenius_norm,
     invariance_margin,
     inverse,
+    mat_exp,
     random_hermitian,
     random_unitary,
 )
@@ -140,6 +141,17 @@ def test_invariance_margin_spin_half_reversal_on_sigma_z():
 def test_invariance_margin_zero_for_commuting_pair():
     h = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
     assert invariance_margin(conjugation(2), h).value <= 1e-15
+
+
+@pytest.mark.parametrize("t", [-2.0, 0.5, 3.7])
+def test_reversal_maps_the_propagator_to_its_inverse_iff_invariant(t):
+    # K exp(-iHt) K^-1 = exp(iHt) when K commutes with H
+    h = np.array([[1.0, 0.3], [0.3, -0.5]], dtype=complex)
+    reversed_ = conjugate_operator(conjugation(2), mat_exp(h, -1.0j * t))
+    assert frobenius_norm(reversed_ - mat_exp(h, 1.0j * t)) <= 1e-12
+    # sigma_y anticommutes with K: exp(-i sigma_y t) is real, so K leaves it as it is
+    reversed_ = conjugate_operator(conjugation(2), mat_exp(SIGMA_Y, -1.0j * t))
+    assert frobenius_norm(reversed_ - mat_exp(SIGMA_Y, 1.0j * t)) > 1e-6
 
 
 def test_cpt_link_gates():

@@ -203,6 +203,30 @@ def test_kramers_cases_under_a_minus_identity_reversal():
     assert verdict.witness["ray_displacement"] == 1.0
 
 
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_commuting_minus_identity_reversal_leaves_no_level_simple(dim):
+    # averaging A with J conj(A) J^dag gives an H that J·K commutes with; as
+    # (J·K)^2 = -1, every level is a Kramers pair
+    j = np.kron(np.eye(dim // 2), np.array([[0.0, 1.0], [-1.0, 0.0]])).astype(complex)
+    t = SymmetryTransform(j, antilinear=True, label="T")
+    a = random_hermitian(dim, seed=dim)
+    h = (a + j @ a.conj() @ j.conj().T) / 2
+    assert kramers_square(t).classification == MINUS_IDENTITY
+    verdict = wigner_principle_check(h, t)
+    assert (verdict.outcome, verdict.reason) == (NO_CONCLUSION, REASON_PREMISE_UNMET)
+    assert verdict.witness["multiplicities"] == [2] * (dim // 2)
+
+
+def test_orthogonal_displacement_convicts_only_above_tau_violation():
+    # a displacement of one, equal to tau_violation, is in the band; below it, a Violation
+    h = np.diag([1.0, -1.0]).astype(complex)
+    at_edge = wigner_principle_check(h, SIGMA_Y_FLIP, tol=Tolerances(tau_zero=0.5, tau_violation=1.0))
+    assert (at_edge.outcome, at_edge.reason) == (NO_CONCLUSION, REASON_INDETERMINATE)
+    above = wigner_principle_check(h, SIGMA_Y_FLIP, tol=Tolerances(tau_zero=0.5, tau_violation=0.9))
+    assert above.outcome == VIOLATION
+    assert above.witness["multiplicities"] == [1, 1]
+
+
 def test_first_simple_level_off_the_unit_sphere_fails_first():
     # tau_zero below the rounding of eigh's norms: level 2 is the first off the
     # unit sphere, but it shares a cluster with level 1, so the first simple
