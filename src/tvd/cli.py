@@ -9,9 +9,11 @@ and replays the module invariant suites.
 child per further usable CPU (``_parse_workers``). A file the command parses
 itself (``oracle``'s, or ``check``'s when there are fewer files than usable
 CPUs) has its arrays' numbers decoded in one forked child per CPU the files
-leave idle as well (``_decode_forked``). Every detector still runs on the
-calling thread, one scenario after another, so reports and errors are those
-of a one-CPU run. ``--jobs N`` is accepted and ignored.
+leave idle as well (``_decode_forked``). ``models`` writes a scenario whose
+arrays are large enough with their rows formatted over the usable CPUs
+(``serialize_scenario``). Every detector still runs on the calling thread,
+one scenario after another, and reports are written there, so reports and
+errors are those of a one-CPU run. ``--jobs N`` is accepted and ignored.
 
 Tolerance and seed precedence, highest first: command line flags, the
 environment (``TVD_TOL_ZERO``, ``TVD_TOL_VIOLATION``, ``TVD_SEED``),
@@ -28,11 +30,9 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import io
 import math
 import os
 import pickle
-import signal
 import stat
 import sys
 from collections.abc import Callable, Iterator
@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _workers
 from .builders import MODEL_NAMES, build_model_scenario
 from .config import Tolerances
 from .errors import ConfigError, TvdError
@@ -131,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "one forked process per further usable CPU, CPUs left over "
                             "decode the arrays of the files the command parses itself, "
                             "and detectors run one scenario after another on the "
-                            "calling thread")
+                            "calling thread, which also writes every report")
     _add_shared_args(check)
 
     models = sub.add_parser("models", help="emit a built-in model scenario")
@@ -204,49 +205,6 @@ def _send_decoded(payloads: dict[str, bytes], fd: int) -> None:
         pickle.dump(decoded, pipe, pickle.HIGHEST_PROTOCOL)
 
 
-def _fork(work: Callable[[int], None]) -> tuple[int, io.BufferedReader] | None:
-    """A forked child running ``work`` on the write end of a pipe, and the read end; None if no child started."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        # the child parses or decodes only: it never calls BLAS, whose threads fork did not copy
-        try:
-            os.close(read_fd)
-            work(write_fd)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-@contextlib.contextmanager
-def _forked(works: list[Callable[[int], None]]) -> Iterator[list[io.BufferedReader | None]]:
-    """Yield the pipe each of ``works`` sends through from its own forked child (``_fork``), or None where none started.
-
-    Every pipe is closed and every child killed and reaped on the way out,
-    whatever ends the block: a child still working for a caller that has
-    stopped reading is not waited for.
-    """
-    children: list[tuple[int, io.BufferedReader] | None] = []
-    try:
-        for work in works:
-            children.append(_fork(work))
-        yield [child[1] if child else None for child in children]
-    finally:
-        for pid, pipe in filter(None, children):
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _decode_forked(helpers: int, payloads: dict[str, bytes]) -> dict[str, np.ndarray | None]:
     """Decode ``payloads`` (``_decode_numbers``) in this process and ``helpers`` forked children.
 
@@ -262,7 +220,7 @@ def _decode_forked(helpers: int, payloads: dict[str, bytes]) -> dict[str, np.nda
         lightest = sizes.index(min(sizes))
         shares[lightest][key] = payloads[key]
         sizes[lightest] += len(payloads[key])
-    with _forked([functools.partial(_send_decoded, share) for share in shares[1:]]) as pipes:
+    with _workers.forked([functools.partial(_send_decoded, share) for share in shares[1:]]) as pipes:
         decoded = {key: _decode_numbers(payload) for key, payload in shares[0].items()}
         for pipe in filter(None, pipes):
             try:
@@ -280,15 +238,6 @@ def _is_regular(path: Path) -> bool:
         return False
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 without ``os.fork``, which could not use more."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _parse_workers(paths: list[Path]) -> Iterator[Callable[[int], Scenario]]:
     """Yield ``scenario(i)``, the parsed ``paths[i]``, to be asked for in path order.
@@ -302,11 +251,11 @@ def _parse_workers(paths: list[Path]) -> Iterator[Callable[[int], Scenario]]:
     decoded over the CPUs the runs leave idle (``_decode_forked``). Every
     child is reaped on the way out, whatever ends the block.
     """
-    cpus = _usable_cpus()
+    cpus = _workers.usable_cpus()
     runs = min(len(paths), cpus)
     members = [[i for i in range(run, len(paths), runs) if _is_regular(paths[i])] for run in range(1, runs)]
     members = [run for run in members if run]
-    with _forked([functools.partial(_send_parsed, [paths[i] for i in run]) for run in members]) as pipes:
+    with _workers.forked([functools.partial(_send_parsed, [paths[i] for i in run]) for run in members]) as pipes:
         owners = {i: pipe for run, pipe in zip(members, pipes) if pipe is not None for i in run}
 
         def scenario(i: int) -> Scenario:
@@ -378,7 +327,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     seed, overrides = _seed(args), _tolerance_overrides(args)
-    scenario = _read_scenario(Path(args.scenario), _usable_cpus() - 1)
+    scenario = _read_scenario(Path(args.scenario), _workers.usable_cpus() - 1)
     tol, report = _run(scenario, seed, overrides)
     records = oracle_compare(scenario, report, tol)
     _write_payload(_render(dataclasses.replace(report, oracle=records), args.format), args.out)

@@ -26,6 +26,7 @@ from tvd import (
     serialize_scenario,
     shipped_scenario_paths,
 )
+import tvd._workers
 import tvd.cli
 from tvd import runner
 from tvd.cli import main
@@ -411,7 +412,7 @@ def dim_64_files(tmp_path):
 
 def usable_cpus(monkeypatch, n):
     """Make ``tvd check`` and ``tvd oracle`` see ``n`` usable CPUs; 1 gives the serial path, which forks nothing."""
-    monkeypatch.setattr(tvd.cli, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(tvd._workers, "usable_cpus", lambda: n)
 
 
 def test_check_jobs_do_not_change_bytes(tmp_path, capsysbinary, monkeypatch):
@@ -569,9 +570,9 @@ def test_check_workers_leave_a_fifo_to_the_calling_process(tmp_path, capsysbinar
     fifo = tmp_path / "fifo.json"
     os.mkfifo(fifo)
     sent = []
-    real_fork = tvd.cli._fork
+    real_fork = tvd._workers.fork
     # each child's work is _send_parsed bound to its files
-    monkeypatch.setattr(tvd.cli, "_fork", lambda work: sent.append(work.args[0]) or real_fork(work))
+    monkeypatch.setattr(tvd._workers, "fork", lambda work: sent.append(work.args[0]) or real_fork(work))
     usable_cpus(monkeypatch, 2)
     writer = threading.Thread(target=fifo.write_bytes, args=(CPT_LINK.read_bytes(),), daemon=True)
     writer.start()

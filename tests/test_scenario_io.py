@@ -1,8 +1,11 @@
 import copy
 import dataclasses
 import importlib.util
+import io
 import json
+import os
 import pickle
+import signal
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -34,6 +37,7 @@ from tvd import (
     serialize_scenario,
     shipped_scenario_paths,
 )
+import tvd._workers
 import tvd.cli
 import tvd.scenario
 from tvd.linalg import _content_key, _frozen_bytes, frozen, herm_eig, random_hermitian, random_unitary
@@ -476,6 +480,163 @@ def test_parsing_a_dim_128_scenario_costs_under_twice_its_size():
     assert peak - before < 1.9 * len(data)
 
 
+def test_serializing_a_dim_128_scenario_on_one_cpu_costs_about_its_own_size(monkeypatch):
+    monkeypatch.setattr(tvd._workers, "usable_cpus", lambda: 1)
+    forks = count_forks(monkeypatch)
+    test_serializing_a_dim_128_scenario_costs_about_its_own_size()
+    assert forks == []
+
+
+# The format workers: the rows of a document's arrays formatted in slices over forked children.
+
+
+def format_workers(mp, cpus: int, floats: int | None = None) -> None:
+    """Make ``canonical_dumps`` see ``cpus`` usable CPUs and, if given, cut slices of at least ``floats`` floats."""
+    mp.setattr(tvd._workers, "usable_cpus", lambda: cpus)
+    if floats is not None:
+        mp.setattr(tvd.scenario, "_SLICE_FLOATS", floats)
+
+
+def slice_texts(value: object, cpus: int) -> list[bytes]:
+    """The bytes of each slice ``canonical_dumps`` cuts ``value`` into at ``cpus`` usable CPUs."""
+    units = tvd.scenario._units(value)
+    texts = []
+    for start, stop in tvd.scenario._slices(units, cpus):
+        buf = io.BytesIO()
+        tvd.scenario._format(units[start:stop], buf)
+        texts.append(buf.getvalue())
+    return texts
+
+
+def ramp(*shape: int) -> np.ndarray:
+    return np.arange(np.prod(shape), dtype=np.complex128).reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        # 32 floats at two CPUs: two shares of 16 floats, so the cut falls after a matrix's second row
+        (ramp(4, 4), [b"[[[0,0],[1,0],[2,0],[3,0]],[[4,0],[5,0],[6,0],[7,0]]", b",[[8,0],[9,0],[10,0],[11,0]],[[12,0],[13,0],[14,0],[15,0]]]\n"]),
+        # at an array boundary: the text between the arrays opens the second slice
+        ([ramp(2, 2), ramp(2, 2)], [b"[[[[0,0],[1,0]],[[2,0],[3,0]]", b"],[[[0,0],[1,0]],[[2,0],[3,0]]]]\n"]),
+        # around a state, which is one row
+        ({"m": ramp(2, 2), "s": ramp(4)}, [b'{"m":[[[0,0],[1,0]],[[2,0],[3,0]]', b'],"s":[[0,0],[1,0],[2,0],[3,0]]}\n']),
+        ({"s": ramp(4), "t": ramp(4)}, [b'{"s":[[0,0],[1,0],[2,0],[3,0]]', b',"t":[[0,0],[1,0],[2,0],[3,0]]}\n']),
+    ],
+    ids=["inside_a_matrix", "at_an_array_boundary", "before_a_state", "after_a_state"],
+)
+def test_format_workers_cut_at_rows(value, want, monkeypatch):
+    format_workers(monkeypatch, 1, 8)
+    serial = canonical_dumps(value)
+    assert slice_texts(value, 2) == want and b"".join(want) == serial
+    forks = count_forks(monkeypatch)
+    format_workers(monkeypatch, 2)
+    assert canonical_dumps(value) == serial
+    assert len(forks) == 1
+    assert_no_children()
+
+
+@given(
+    st.lists(st.one_of(complex_arrays(), st.sampled_from([None, "x", 0.5, -0.0])), min_size=1, max_size=5),
+    st.integers(2, 4),
+    st.integers(1, 24),
+)
+def test_format_workers_give_the_one_cpu_bytes(items, cpus, floats):
+    doc = {"items": items, "last": items[-1]}
+    with pytest.MonkeyPatch.context() as mp:
+        format_workers(mp, 1, floats)
+        serial = canonical_dumps(doc)
+        forks = count_forks(mp)
+        format_workers(mp, cpus)
+        got = canonical_dumps(doc)
+        slices = slice_texts(doc, cpus)
+    assert got == serial == b"".join(slices)
+    assert len(forks) == len(slices) - 1 < cpus
+    assert_no_children()
+
+
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 5), st.integers(1, 50))
+def test_format_slices_are_contiguous_balanced_and_large_enough(widths, cpus, floats):
+    # a width of 0 stands for text; any other for a row of that many floats
+    units = ["x" if width == 0 else (np.zeros((1, width)), 0, "") for width in widths]
+    with mock.patch.object(tvd.scenario, "_SLICE_FLOATS", floats):
+        slices = tvd.scenario._slices(units, cpus)
+    assert [start for start, _ in slices] == [0] + [stop for _, stop in slices[:-1]]
+    assert slices[-1][1] == len(units)
+    sizes = [sum(widths[start:stop]) for start, stop in slices]
+    assert len(slices) <= max(1, min(cpus, sum(widths) // floats))
+    if len(slices) > 1:
+        assert min(sizes) >= floats
+        # each slice but the last closes at the first row that takes it to an equal share
+        share = sum(widths) / min(cpus, sum(widths) // floats)
+        assert all(size - widths[stop - 1] < share <= size for size, (_, stop) in zip(sizes[:-1], slices))
+
+
+def send_nothing(units, fd):
+    os._exit(0)
+
+
+def send_raising(units, fd):
+    raise RuntimeError("format worker failed")
+
+
+def send_killed(units, fd):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def send_short(units, fd):
+    buf = io.BytesIO()
+    tvd.scenario._format(units, buf)
+    with open(fd, "wb") as pipe:
+        pipe.write(buf.tell().to_bytes(8, "little") + buf.getvalue()[: buf.tell() // 2])
+
+
+def send_after_a_short_header(units, fd):
+    with open(fd, "wb") as pipe:
+        pipe.write(b"\x01\x02")
+
+
+@pytest.mark.parametrize("send", [send_nothing, send_raising, send_killed, send_short, send_after_a_short_header])
+def test_a_failed_format_worker_leaves_its_slice_to_the_caller(send, monkeypatch):
+    doc = {"a": ramp(6, 6), "b": [ramp(5), ramp(3, 3)], "c": -0.0}
+    format_workers(monkeypatch, 1, 8)
+    serial = canonical_dumps(doc)
+    forks = count_forks(monkeypatch)
+    format_workers(monkeypatch, 3)
+    monkeypatch.setattr(tvd.scenario, "_send_formatted", send)
+    assert canonical_dumps(doc) == serial
+    assert len(forks) == 2
+    assert_no_children()
+
+
+def test_format_slices_whose_worker_did_not_start_are_formatted_by_the_caller(monkeypatch):
+    doc = [ramp(6, 6), ramp(4)]
+    format_workers(monkeypatch, 1, 8)
+    serial = canonical_dumps(doc)
+    forks = count_forks(monkeypatch)
+    format_workers(monkeypatch, 3)
+    monkeypatch.setattr(tvd._workers, "fork", lambda work: None)
+    assert canonical_dumps(doc) == serial
+    assert forks == []
+
+
+def test_a_small_document_and_every_report_fork_no_format_worker(monkeypatch):
+    format_workers(monkeypatch, 8)
+    forks = count_forks(monkeypatch)
+    assert serialize_scenario(small_scenario()) == FROZEN_SCENARIO_BYTES
+    scenario = _dim_128_scenario()
+    # a report holds no complex arrays, so however long it is, it is all text
+    report = run_scenario(scenario, scenario.effective_tolerances())
+    report = dataclasses.replace(report, oracle=oracle_compare(scenario, report, scenario.effective_tolerances()))
+    assert all(type(unit) is str for unit in tvd.scenario._units(report_jsonable(report)))
+    serialize_report(report)
+    for path in shipped_scenario_paths().values():
+        scenario = parse_scenario(path.read_bytes())
+        assert serialize_scenario(scenario) == path.read_bytes()
+        serialize_report(run_scenario(scenario, scenario.effective_tolerances()))
+    assert forks == []
+
+
 def _walk(raw: list) -> np.ndarray:
     """Per-entry reference: one ``complex(re, im)`` per ``[re, im]`` pair."""
     if isinstance(raw[0][0], list):
@@ -719,7 +880,7 @@ def test_malformed_payload_fails_the_oracle_at_two_cpus_as_at_one(case, tmp_path
     forks = count_forks(monkeypatch)
     results = []
     for cpus in (1, 2):
-        monkeypatch.setattr(tvd.cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(tvd._workers, "usable_cpus", lambda: cpus)
         code = tvd.cli.main(["oracle", "--scenario", str(path), "--format", "json"])
         results.append((code, *capsysbinary.readouterr()))
         # a document whose text between the arrays does not parse decodes nothing
