@@ -8,8 +8,8 @@ and replays the module invariant suites.
 ``check`` over several files reads and parses the later ones in one forked
 child per further usable CPU (``_parse_workers``). A file the command parses
 itself (``oracle``'s, or ``check``'s when there are fewer files than usable
-CPUs) has its arrays' numbers decoded in one forked child per CPU the files
-leave idle as well (``_decode_forked``). ``models`` writes a scenario whose
+CPUs) has its compact arrays read over its own CPU and the CPUs the files
+leave idle (``scenario._parse_scenario``). ``models`` writes a scenario whose
 arrays are large enough with their rows formatted over the usable CPUs
 (``serialize_scenario``). Every detector still runs on the calling thread,
 one scenario after another, and reports are written there, so reports and
@@ -45,7 +45,7 @@ from .builders import MODEL_NAMES, build_model_scenario
 from .config import Tolerances
 from .errors import ConfigError, TvdError
 from .runner import oracle_compare, render_text, run_scenario
-from .scenario import Report, Scenario, _decode_numbers, _parse_scenario, serialize_report, serialize_scenario
+from .scenario import Report, Scenario, _parse_scenario, serialize_report, serialize_scenario
 from .selftest import SUITES
 
 ENV_TOL_ZERO = "TVD_TOL_ZERO"
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
                        help="accepted and ignored: later scenario files are parsed in "
                             "one forked process per further usable CPU, CPUs left over "
-                            "decode the arrays of the files the command parses itself, "
+                            "read the arrays of the files the command parses itself, "
                             "and detectors run one scenario after another on the "
                             "calling thread, which also writes every report")
     _add_shared_args(check)
@@ -163,13 +163,13 @@ def _write_payload(payload: bytes, out: str | None) -> None:
         Path(out).write_bytes(payload)
 
 
-def _read_scenario(path: Path, helpers: int = 0) -> Scenario:
-    """Read and parse ``path``, its arrays' numbers decoded over ``helpers`` forked children as well (``_decode_forked``)."""
+def _read_scenario(path: Path, cpus: int = 1) -> Scenario:
+    """Read and parse ``path``, its compact arrays read over at most ``cpus`` processes (``_parse_scenario``)."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from None
-    return _parse_scenario(data, functools.partial(_decode_forked, helpers) if helpers > 0 else None)
+    return _parse_scenario(data, cpus)
 
 
 def _run(scenario: Scenario, seed: int | None, overrides: dict[str, float]) -> tuple[Tolerances, Report]:
@@ -193,43 +193,6 @@ def _send_parsed(paths: list[Path], fd: int) -> None:
             pipe.flush()
 
 
-def _send_decoded(payloads: dict[str, bytes], fd: int) -> None:
-    """Decode every payload, then write their numbers by placeholder (None if undecodable) to ``fd`` as one pickle.
-
-    Nothing is written before the last payload is decoded: a pipe filled
-    early would hold the writer until the caller, busy with its own share,
-    came to read.
-    """
-    decoded = {key: _decode_numbers(payload) for key, payload in payloads.items()}
-    with open(fd, "wb") as pipe:
-        pickle.dump(decoded, pipe, pickle.HIGHEST_PROTOCOL)
-
-
-def _decode_forked(helpers: int, payloads: dict[str, bytes]) -> dict[str, np.ndarray | None]:
-    """Decode ``payloads`` (``_decode_numbers``) in this process and ``helpers`` forked children.
-
-    The payloads are dealt by byte size, largest first, each to the share
-    with the fewest bytes so far; this process keeps the first share and
-    decodes it while the children decode theirs. A share whose child did
-    not start, or whose stream is short or broken, is left out, and the
-    parse decodes it itself.
-    """
-    shares: list[dict[str, bytes]] = [{} for _ in range(min(helpers + 1, len(payloads)))]
-    sizes = [0] * len(shares)
-    for key in sorted(payloads, key=lambda key: len(payloads[key]), reverse=True):
-        lightest = sizes.index(min(sizes))
-        shares[lightest][key] = payloads[key]
-        sizes[lightest] += len(payloads[key])
-    with _workers.forked([functools.partial(_send_decoded, share) for share in shares[1:]]) as pipes:
-        decoded = {key: _decode_numbers(payload) for key, payload in shares[0].items()}
-        for pipe in filter(None, pipes):
-            try:
-                decoded.update(pickle.load(pipe))
-            except (EOFError, pickle.UnpicklingError):
-                pass
-    return decoded
-
-
 def _is_regular(path: Path) -> bool:
     """Whether ``path`` is a regular file, and not a FIFO, a terminal or a missing file."""
     try:
@@ -248,8 +211,8 @@ def _parse_workers(paths: list[Path]) -> Iterator[Callable[[int], Scenario]]:
     of time. A file no child sent (not a regular file, or its child failed,
     died or could not start) is read here when asked, so every error comes
     from the same path as with one CPU. A file read here has its arrays
-    decoded over the CPUs the runs leave idle (``_decode_forked``). Every
-    child is reaped on the way out, whatever ends the block.
+    read over this CPU and those the runs leave idle (``_parse_scenario``).
+    Every child is reaped on the way out, whatever ends the block.
     """
     cpus = _workers.usable_cpus()
     runs = min(len(paths), cpus)
@@ -266,7 +229,7 @@ def _parse_workers(paths: list[Path]) -> Iterator[Callable[[int], Scenario]]:
                 except (EOFError, pickle.UnpicklingError):
                     # a child that failed, or died, left its stream short: it sends nothing more
                     pipe.close()
-            return _read_scenario(paths[i], cpus - runs)
+            return _read_scenario(paths[i], cpus - runs + 1)
 
         yield scenario
 
@@ -327,7 +290,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     seed, overrides = _seed(args), _tolerance_overrides(args)
-    scenario = _read_scenario(Path(args.scenario), _workers.usable_cpus() - 1)
+    scenario = _read_scenario(Path(args.scenario), _workers.usable_cpus())
     tol, report = _run(scenario, seed, overrides)
     records = oracle_compare(scenario, report, tol)
     _write_payload(_render(dataclasses.replace(report, oracle=records), args.format), args.out)

@@ -15,9 +15,11 @@ numbers are two-element ``[re, im]`` arrays and reals are rendered with
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import pickle
 from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -317,35 +319,20 @@ def _has_empty_slot(payload: bytes) -> bool:
     return any(_EMPTY_SLOT_PAIRS[0] in view or _EMPTY_SLOT_PAIRS[1] in view for view in views)
 
 
-def _decode_numbers(payload: bytes) -> np.ndarray | None:
-    """The numbers of a compact array payload as one flat float array, whatever its shape.
+def _read_compact(payload: bytes | memoryview, dim: int) -> np.ndarray | None:
+    """A spliced payload as a finished read-only array: a ``dim``×``dim`` matrix if it opens with three brackets, else a state.
 
-    Returns None when ``_has_empty_slot`` finds an empty slot (the decoder
-    would take a token moved across a bracket into one, ``[1,]0``, as that
-    slot's), when the decoder rejects a token, or when a number is not
-    finite. With every bracket a space, the JSON decoder reads one number
-    token per slot and rejects any other token, parted from its slot's by
-    a space. Only ``json`` and numpy's array constructor run here, never BLAS.
+    Returns None unless the payload's brackets and commas are exactly those
+    of that shape (their count is checked before anything sized by ``dim``
+    is built), ``_has_empty_slot`` finds no empty slot (the decoder would
+    take a token moved across a bracket into one, ``[1,]0``, as that
+    slot's), the JSON decoder reads every token, and every number is
+    finite. With every bracket a space, the decoder reads one number token
+    per slot and rejects any other token, parted from its slot's by a
+    space. Only ``json`` and numpy's array constructor run here, never BLAS.
     """
-    if _has_empty_slot(payload):
-        return None
-    try:
-        pairs = np.array(json.loads(b"[" + payload.translate(_BRACKETS_TO_SPACES) + b"]"), dtype=np.float64)
-    except (json.JSONDecodeError, OverflowError):
-        return None
-    return pairs if np.isfinite(pairs).all() else None
-
-
-def _read_compact(payload: bytes, shape: tuple[int, ...], pairs: np.ndarray | None = None) -> np.ndarray | None:
-    """Read a compact JSON array of ``[re, im]`` pairs at ``shape``.
-
-    Returns None unless the array's brackets and commas are exactly those
-    of the shape (their count is checked before anything sized by the
-    shape is built) and its numbers decode (``_decode_numbers``). ``pairs``
-    is the payload's already decoded numbers, if any; otherwise they are
-    decoded here, once the layout has passed.
-    """
-    shape += (2,)
+    payload = bytes(payload)  # a view of the document is copied only while it is read
+    shape = (dim, dim, 2) if payload.startswith(b"[[[") else (dim, 2)
     skeleton = payload.translate(None, _NUMBER_BYTES)
     length = 0
     for n in reversed(shape):
@@ -355,28 +342,74 @@ def _read_compact(payload: bytes, shape: tuple[int, ...], pairs: np.ndarray | No
     expected = b""
     for n in reversed(shape):
         expected = b"[" + b",".join([expected] * n) + b"]"
-    if skeleton != expected:
+    if skeleton != expected or _has_empty_slot(payload):
         return None
-    if pairs is None:
-        pairs = _decode_numbers(payload)
-    if pairs is None:
+    try:
+        pairs = np.array(json.loads(b"[" + payload.translate(_BRACKETS_TO_SPACES) + b"]"), dtype=np.float64)
+    except (json.JSONDecodeError, OverflowError):
         return None
-    return frozen(pairs.view(np.complex128).reshape(shape[:-1]))
+    return frozen(pairs.view(np.complex128).reshape(shape[:-1])) if np.isfinite(pairs).all() else None
 
 
-def _splice(data: bytes) -> tuple[bytes, dict[str, bytes]] | None:
+def _read_share(share: dict[str, memoryview], dim: int) -> dict[str, np.ndarray | None]:
+    """Each payload of ``share`` read (``_read_compact``), by placeholder; each is dropped from ``share`` once read."""
+    return {key: _read_compact(share.pop(key), dim) for key in list(share)}
+
+
+def _send_arrays(share: dict[str, memoryview], dim: int, fd: int) -> None:
+    """Read ``share`` whole, then write its arrays by placeholder (None if unreadable) to ``fd`` as one pickle.
+
+    Nothing is written before the last payload is read: a pipe filled
+    early would hold the writer until the caller, busy with its own share,
+    came to read.
+    """
+    arrays = _read_share(share, dim)
+    with open(fd, "wb") as pipe:
+        pickle.dump(arrays, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _read_arrays(payloads: dict[str, memoryview], dim: int, cpus: int) -> dict[str, np.ndarray | None]:
+    """Every payload read (``_read_compact``), by placeholder, over at most ``cpus`` processes; ``payloads`` is emptied.
+
+    The payloads are dealt by byte size, largest first, each to the share
+    with the fewest bytes so far, one share per process. This process reads
+    the first share while one forked child per further share reads its own
+    (``_send_arrays``), then freezes each array a child sends. A share whose
+    child did not start, failed, died or sent a short stream is read here,
+    so the arrays are those of one process.
+    """
+    shares: list[dict[str, memoryview]] = [{} for _ in range(max(1, min(cpus, len(payloads))))]
+    sizes = [0] * len(shares)
+    for key in sorted(payloads, key=lambda key: len(payloads[key]), reverse=True):
+        lightest = sizes.index(min(sizes))
+        sizes[lightest] += len(payloads[key])
+        shares[lightest][key] = payloads.pop(key)
+    with _workers.forked([partial(_send_arrays, share, dim) for share in shares[1:]]) as pipes:
+        arrays = _read_share(shares[0], dim)
+        for share, pipe in zip(shares[1:], pipes):
+            if pipe is not None:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    arrays.update((key, None if a is None else frozen(a)) for key, a in pickle.load(pipe).items())
+                    share.clear()
+            arrays.update(_read_share(share, dim))
+    return arrays
+
+
+def _splice(data: bytes) -> tuple[bytes, dict[str, memoryview]] | None:
     """Cut each ``[[``-opening array outside a string out of a document.
 
     Each array becomes the string ``"\\u0000<k>"``. Without a backslash in
     the document, quote parity tells which brackets sit inside a string,
     and no string of the document can spell a placeholder. Returns the
-    remaining text and the arrays by placeholder value, or None for a
-    document with a backslash or an unclosed array or string.
+    remaining text and the arrays, as views of ``data``, by placeholder
+    value, or None for a document with a backslash or an unclosed array or
+    string.
     """
     if b"\\" in data:
         return None
     parts: list[bytes] = []
-    payloads: dict[str, bytes] = {}
+    payloads: dict[str, memoryview] = {}
+    view = memoryview(data)
     last = pos = 0
     while (start := data.find(b"[[", pos)) >= 0:
         if data.count(b'"', pos, start) % 2:  # inside a string: go on after it
@@ -390,29 +423,20 @@ def _splice(data: bytes) -> tuple[bytes, dict[str, bytes]] | None:
             return None
         pos = end + len(closer)
         parts += (data[last:start], b'"\\u0000%d"' % len(payloads))
-        payloads["\x00%d" % len(payloads)] = data[start:pos]
+        payloads["\x00%d" % len(payloads)] = view[start:pos]
         last = pos
     parts.append(data[last:])
     return b"".join(parts), payloads
 
 
-# a spliced array's text, and its numbers if they were decoded before the document walk
-_Spliced = dict[str, tuple[bytes, np.ndarray | None]]
-# maps spliced payloads, by placeholder, to their decoded numbers (None: undecodable);
-# a placeholder it leaves out is decoded during the walk
-_Decoder = Callable[[dict[str, bytes]], Mapping[str, np.ndarray | None]]
+def _claim(arrays: dict[str, np.ndarray], raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The finished array that a placeholder stands for, claimed once, if it has ``shape``; None for any other value."""
+    array = arrays.pop(raw, None) if type(raw) is str else None
+    return array if array is not None and array.shape == shape else None
 
 
-def _read_spliced(payloads: _Spliced, raw: object, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The array that a placeholder stands for, claimed once; None for any other value."""
-    if type(raw) is str and raw in payloads:
-        payload, pairs = payloads.pop(raw)
-        return _read_compact(payload, shape, pairs)
-    return None
-
-
-def _parse_matrix(raw: object, dim: int, path: str, payloads: _Spliced) -> np.ndarray:
-    fast = _read_spliced(payloads, raw, (dim, dim))
+def _parse_matrix(raw: object, dim: int, path: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
+    fast = _claim(arrays, raw, (dim, dim))
     if fast is not None:
         return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} rows", path)
@@ -423,8 +447,8 @@ def _parse_matrix(raw: object, dim: int, path: str, payloads: _Spliced) -> np.nd
     return frozen(np.array(rows, dtype=complex))
 
 
-def _parse_vector(raw: object, dim: int, path: str, payloads: _Spliced) -> np.ndarray:
-    fast = _read_spliced(payloads, raw, (dim,))
+def _parse_vector(raw: object, dim: int, path: str, arrays: dict[str, np.ndarray]) -> np.ndarray:
+    fast = _claim(arrays, raw, (dim,))
     if fast is not None:
         return fast
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} entries", path)
@@ -458,27 +482,31 @@ def parse_scenario(data: bytes | str) -> Scenario:
     """Parse and validate a scenario document.
 
     Matrices and states come back as read-only arrays. Compact arrays are
-    read straight from the text (``_splice``, ``_read_compact``); any other
-    array is walked entry by entry. Anything unexpected on the compact
-    route parses the original text again with ``_parse_nested``, so both
-    routes give the same arrays, bit for bit, and every error comes from
-    ``_parse_nested``.
+    cut out of the text (``_splice``) and each is read whole, before the
+    document walk, in one step (``_read_compact``); the walk then claims
+    the finished arrays by placeholder and shape. Any other array is
+    walked entry by entry. Anything unexpected on the compact route parses
+    the original text again with ``_parse_nested``, so both routes give
+    the same arrays, bit for bit, and every error comes from
+    ``_parse_nested``. This process reads every array: nothing is forked.
     """
-    return _parse_scenario(data, None)
+    return _parse_scenario(data, 1)
 
 
-def _parse_scenario(data: bytes | str, decode: _Decoder | None) -> Scenario:
-    """``parse_scenario``, with the compact arrays' numbers decoded by ``decode`` before the walk, if given."""
+def _parse_scenario(data: bytes | str, cpus: int) -> Scenario:
+    """``parse_scenario``, with the compact arrays read over at most ``cpus`` processes (``_read_arrays``)."""
     raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-    scenario = _parse_compact(raw, decode)
+    scenario = _parse_compact(raw, cpus)
     return scenario if scenario is not None else _parse_nested(data)
 
 
-def _parse_compact(raw: bytes, decode: _Decoder | None) -> Scenario | None:
+def _parse_compact(raw: bytes, cpus: int) -> Scenario | None:
     """The scenario read on the compact route, or None for a document it does not read.
 
-    It reads a document only when it reads every spliced array, so one
-    array ``decode`` finds undecodable is enough to stop.
+    The document's ``dim`` gives each array its size, so a ``dim`` that is
+    not an integer >= 1 is left to ``_parse_nested``. It reads a document
+    only when it reads every spliced array, so one unreadable array is
+    enough to stop.
     """
     spliced = _splice(raw)
     if spliced is None:
@@ -488,17 +516,18 @@ def _parse_compact(raw: bytes, decode: _Decoder | None) -> Scenario | None:
         doc = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
-    decoded = decode(payloads) if decode is not None and payloads else {}
-    if any(pairs is None for pairs in decoded.values()):
+    dim = doc.get("dim") if isinstance(doc, dict) else None
+    if type(dim) is not int or dim < 1:
         return None
-    # each payload is let go as the walk claims it
-    claims = {key: (payloads.pop(key), decoded.get(key)) for key in list(payloads)}
+    arrays = _read_arrays(payloads, dim, cpus)
+    if any(array is None for array in arrays.values()):
+        return None
     try:
-        scenario = _parse_document(doc, claims)
+        scenario = _parse_document(doc, arrays)
     except ScenarioError:
         return None
     # a placeholder anywhere but at a matrix or a state is never claimed
-    return scenario if not claims else None
+    return scenario if not arrays else None
 
 
 def _parse_nested(data: bytes | str) -> Scenario:
@@ -515,7 +544,7 @@ def _parse_nested(data: bytes | str) -> Scenario:
     return _parse_document(doc, {})
 
 
-def _parse_document(doc: object, payloads: _Spliced) -> Scenario:
+def _parse_document(doc: object, arrays: dict[str, np.ndarray]) -> Scenario:
     _expect(isinstance(doc, dict), "document must be a JSON object", "document")
     _reject_unknown(doc, _TOP_FIELDS, "")
 
@@ -558,7 +587,7 @@ def _parse_document(doc: object, payloads: _Spliced) -> Scenario:
         _reject_unknown(raw, MATRIX_NAMES, "matrices")
         for name in MATRIX_NAMES:
             if name in raw:
-                matrices[name] = _parse_matrix(raw[name], dim, f"matrices.{name}", payloads)
+                matrices[name] = _parse_matrix(raw[name], dim, f"matrices.{name}", arrays)
 
     symmetries: dict[str, SymmetryTransform] = {}
     if "symmetries" in doc:
@@ -574,7 +603,7 @@ def _parse_document(doc: object, payloads: _Spliced) -> Scenario:
             _expect(isinstance(label, str) and label != "", "label must be a non-empty string", f"{path}.label")
             _expect(label not in symmetries, f"duplicate symmetry label {label!r}", f"{path}.label")
             _expect(isinstance(item["antilinear"], bool), "antilinear must be a boolean", f"{path}.antilinear")
-            unitary = _parse_matrix(item["unitary_part"], dim, f"{path}.unitary_part", payloads)
+            unitary = _parse_matrix(item["unitary_part"], dim, f"{path}.unitary_part", arrays)
             symmetries[label] = SymmetryTransform(unitary, antilinear=item["antilinear"], label=label)
 
     states: dict[str, np.ndarray] = {}
@@ -583,7 +612,7 @@ def _parse_document(doc: object, payloads: _Spliced) -> Scenario:
         _expect(isinstance(raw, dict), "states must be an object", "states")
         for name in raw:
             _expect(isinstance(name, str) and name != "", "state names must be non-empty strings", "states")
-            states[name] = _parse_vector(raw[name], dim, f"states.{name}", payloads)
+            states[name] = _parse_vector(raw[name], dim, f"states.{name}", arrays)
 
     _expect("requests" in doc, "missing requests", "document")
     raw_requests = doc["requests"]

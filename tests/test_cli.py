@@ -3,10 +3,12 @@ import json
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import assert_no_children, count_forks
@@ -28,6 +30,7 @@ from tvd import (
 )
 import tvd._workers
 import tvd.cli
+import tvd.scenario
 from tvd import runner
 from tvd.cli import main
 from tvd.linalg import _frozen_bytes, random_hermitian
@@ -614,10 +617,10 @@ def test_forked_decoder_gives_the_serial_scenario_bit_for_bit(tmp_path, monkeypa
         serial = parse_scenario(path.read_bytes())
         want = (serialize_scenario(serial), scenario_arrays(serial))
         assert all(frozen for *_, frozen in want[1].values())
-        for helpers in (1, 2):
+        for cpus in (2, 3):
             before = len(forks)
-            got = tvd.cli._read_scenario(path, helpers)
-            assert (serialize_scenario(got), scenario_arrays(got)) == want, (path.name, helpers)
+            got = tvd.cli._read_scenario(path, cpus)
+            assert (serialize_scenario(got), scenario_arrays(got)) == want, (path.name, cpus)
             assert len(forks) > before
             assert_no_children()
 
@@ -639,13 +642,49 @@ def test_oracle_decodes_a_lone_file_over_the_usable_cpus(tmp_path, capsysbinary,
         assert_no_children()
 
 
-def test_oracle_decodes_what_a_failed_child_did_not_send(tmp_path, capsysbinary, monkeypatch):
+def send_nothing(share, dim, fd):
+    os._exit(1)
+
+
+def send_raising(share, dim, fd):
+    raise RuntimeError("decode worker failed")
+
+
+def send_killed(share, dim, fd):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def send_half(share, dim, fd):
+    sent = pickle.dumps(tvd.scenario._read_share(share, dim), pickle.HIGHEST_PROTOCOL)
+    with open(fd, "wb") as pipe:
+        pipe.write(sent[: len(sent) // 2])
+
+
+def never_started(monkeypatch):
+    monkeypatch.setattr(tvd._workers, "fork", lambda work: None)
+
+
+@pytest.mark.parametrize("send", [send_nothing, send_raising, send_killed, send_half, never_started])
+def test_oracle_decodes_what_a_failed_child_did_not_send(send, tmp_path, capsysbinary, monkeypatch):
     path = dim_64_files(tmp_path)[1]
+    read = []
+
+    def recording(scenario, *args, **kwargs):
+        read.append(scenario_arrays(scenario))
+        return run_scenario(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(tvd.cli, "run_scenario", recording)
     serial = oracle_at(capsysbinary, monkeypatch, 1, path)
-    monkeypatch.setattr(tvd.cli, "_send_decoded", lambda payloads, fd: os._exit(1))
+    if send is never_started:
+        never_started(monkeypatch)
+    else:
+        monkeypatch.setattr(tvd.scenario, "_send_arrays", send)
+    # the nested parse would give the same arrays: only the compact route may answer
+    monkeypatch.setattr(tvd.scenario, "_parse_nested", mock.Mock(side_effect=AssertionError("fell back")))
     forks = count_forks(monkeypatch)
     assert oracle_at(capsysbinary, monkeypatch, 2, path) == serial
-    assert len(forks) == 1
+    assert read[1] == read[0]
+    assert len(forks) == (send is not never_started)
     assert_no_children()
 
 
@@ -668,26 +707,27 @@ def test_decoding_child_writes_nothing_before_its_last_payload(monkeypatch):
     read_fd, write_fd = os.pipe()
     os.set_blocking(read_fd, False)
     waiting = []
-    real_decode = tvd.cli._decode_numbers
+    real_read = tvd.scenario._read_compact
 
-    def decoding(payload):
-        # the bytes already in the pipe when the next payload is decoded
+    def reading(payload, dim):
+        # the bytes already in the pipe when the next payload is read
         try:
             waiting.append(len(os.read(read_fd, 1 << 20)))
         except BlockingIOError:
             waiting.append(0)
-        return real_decode(payload)
+        return real_read(payload, dim)
 
-    monkeypatch.setattr(tvd.cli, "_decode_numbers", decoding)
-    payloads = {"\x000": b"[[1,0],[0,0.5]]", "\x001": b"[[[1,2]],[[3,4]]]"}
+    monkeypatch.setattr(tvd.scenario, "_read_compact", reading)
+    payloads = {"\x000": b"[[1,0],[0,0.5]]", "\x001": b"[[[1,2],[3,4]],[[5,6],[7,8]]]"}
     try:
-        tvd.cli._send_decoded(payloads, write_fd)
+        tvd.scenario._send_arrays(payloads, 2, write_fd)
         with open(read_fd, "rb", closefd=False) as pipe:
             sent = pickle.load(pipe)
     finally:
         os.close(read_fd)
     assert waiting == [0, 0]
-    assert {key: pairs.tolist() for key, pairs in sent.items()} == {"\x000": [1, 0, 0, 0.5], "\x001": [1, 2, 3, 4]}
+    want = {"\x000": [1, 0.5j], "\x001": [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]]}
+    assert {key: a.tolist() for key, a in sent.items()} == want
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "x"])

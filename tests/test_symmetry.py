@@ -86,6 +86,13 @@ def test_compose_linear_with_identity():
     assert frobenius_norm(got.unitary_part - u.unitary_part) <= 1e-15
 
 
+def test_compose_and_conjugate_operator_reject_other_dims():
+    with pytest.raises(DimensionMismatchError, match="^dimension mismatch 2 vs 3$"):
+        compose(conjugation(2), conjugation(3))
+    with pytest.raises(DimensionMismatchError, match="^operator dim 3 vs transform dim 2$"):
+        conjugate_operator(conjugation(2), np.eye(3))
+
+
 @given(st.integers(0, 2_000))
 def test_compose_matches_sequential_application(seed):
     g = _random_transform(seed)

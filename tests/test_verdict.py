@@ -131,10 +131,24 @@ def test_non_finite_premise_margin_is_a_premise_error(value):
         cpt_link_inference(unmet, premise)
 
 
-@pytest.mark.parametrize("margin", [math.nan, math.inf])
-def test_violation_requires_a_finite_margin(margin):
-    with pytest.raises(TvdError, match="finite margin"):
-        Verdict.violation("T", margin, {"note": "x"})
+@pytest.mark.parametrize(
+    "symmetry, margin, witness, match",
+    [
+        ("T", math.nan, {"note": "x"}, "finite margin"),
+        ("T", math.inf, {"note": "x"}, "finite margin"),
+        ("T", 1.0, {}, "non-empty witness"),
+        ("", 1.0, {"note": "x"}, "symmetry label"),
+    ],
+    ids=["nan", "inf", "empty_witness", "empty_label"],
+)
+def test_violation_requires_a_finite_margin(symmetry, margin, witness, match):
+    with pytest.raises(TvdError, match=match):
+        Verdict.violation(symmetry, margin, witness)
+
+
+def test_no_conclusion_requires_a_known_reason():
+    with pytest.raises(TvdError, match="^unknown reason code 'violation'$"):
+        Verdict.no_conclusion("violation")
 
 
 def test_overflowing_unitarity_check_is_not_a_pass():

@@ -176,6 +176,8 @@ def test_check_rejects_linear_transform_and_zero_h():
         wigner_principle_check(np.diag([1.0, 2.0]), SymmetryTransform(np.eye(2, dtype=complex), antilinear=False))
     with pytest.raises(PremiseError):
         wigner_principle_check(np.zeros((2, 2)), conjugation(2))
+    with pytest.raises(MisuseError, match="^dimension mismatch 3 vs 2$"):
+        wigner_principle_check(np.diag([1.0, 2.0, 3.0]), conjugation(2))
 
 
 def test_check_judges_the_transform_at_its_own_tau_zero():
