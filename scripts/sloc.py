@@ -1,12 +1,16 @@
-"""Count the code lines of each ``src/tvd`` module and of the package.
+"""Count the code lines of each ``src/tvd`` module, and of each tree.
 
 A code line is a non-blank line whose first non-space character is not
-``#``; docstrings count. Run from anywhere: ``python scripts/sloc.py``.
+``#``; docstrings count. One line per ``src/tvd`` module, then one total
+line for each of ``src/tvd``, ``tests`` and ``perfbench``, so that a net
+line delta over any of them comes from this script. It only reads the
+files. Run from anywhere: ``python scripts/sloc.py``.
 """
 
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tvd"
+ROOT = Path(__file__).resolve().parent.parent
+TREES = ("src/tvd", "tests", "perfbench")
 
 
 def code_lines(path: Path) -> int:
@@ -15,10 +19,10 @@ def code_lines(path: Path) -> int:
 
 
 def main() -> None:
-    counts = {path.name: code_lines(path) for path in sorted(PACKAGE.glob("*.py"))}
-    for name, count in counts.items():
-        print(f"{count:6d}  {name}")
-    print(f"{sum(counts.values()):6d}  src/tvd")
+    for path in sorted((ROOT / TREES[0]).glob("*.py")):
+        print(f"{code_lines(path):6d}  {path.name}")
+    for tree in TREES:
+        print(f"{sum(code_lines(path) for path in (ROOT / tree).glob('*.py')):6d}  {tree}")
 
 
 if __name__ == "__main__":

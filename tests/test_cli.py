@@ -31,6 +31,7 @@ from tvd import (
 import tvd._workers
 import tvd.cli
 import tvd.scenario
+import tvd.selftest
 from tvd import runner
 from tvd.cli import main
 from tvd.linalg import _frozen_bytes, random_hermitian
@@ -619,7 +620,9 @@ def test_forked_decoder_gives_the_serial_scenario_bit_for_bit(tmp_path, monkeypa
         assert all(frozen for *_, frozen in want[1].values())
         for cpus in (2, 3):
             before = len(forks)
-            got = tvd.cli._read_scenario(path, cpus)
+            # the nested parse would give the same arrays: only the compact route may answer
+            with mock.patch.object(tvd.scenario, "_parse_nested", side_effect=AssertionError("fell back")):
+                got = tvd.cli._read_scenario(path, cpus)
             assert (serialize_scenario(got), scenario_arrays(got)) == want, (path.name, cpus)
             assert len(forks) > before
             assert_no_children()
@@ -867,6 +870,22 @@ def test_selftest_at_very_loose_tolerances_runs_every_suite(capsysbinary):
     failures = re.findall(r"^  FAIL (.*)$", out.decode(), re.MULTILINE)
     assert failures == ["simple level forbids commuting minus-identity reversal"]
     assert out.decode().endswith("selftest: FAILED\n")
+
+
+@pytest.mark.parametrize("tol, failed", [(Tolerances(0.5, 0.6), 0), (Tolerances(1e-15, 1e-14), 20)])
+def test_scenario_io_suite_runs_at_the_given_tolerances(monkeypatch, tol, failed):
+    seen = []
+
+    def recording(scenario, tolerances=None, seed=None):
+        seen.append(tolerances)
+        return run_scenario(scenario, tolerances, seed)
+
+    monkeypatch.setattr(tvd.selftest, "run_scenario", recording)
+    result = SUITES["scenario_io"](tol)
+    assert seen and all(t is tol for t in seen)
+    # below rounding, a draw whose R is unitary only to 1e-15 is a failed check, not an error
+    assert result.failed == failed
+    assert all(f.startswith("draw passes the input checks: symmetries[0].unitary_part: ") for f in result.failures)
 
 
 def test_selftest_below_rounding_runs_every_suite(capsysbinary):

@@ -24,7 +24,7 @@ from tvd import (
     symmetrize_invariant,
     unitary_curie_check,
 )
-from tvd.selftest import fact1_instances
+from tvd._draws import commuting_unitary, fact1_instances, involution
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z_R = SymmetryTransform(np.diag([1.0, -1.0]).astype(complex), antilinear=False, label="R")
@@ -124,11 +124,8 @@ def test_scattering_zero_leakage_is_below_threshold():
         dim = 2 + i % 5
         v = random_unitary(dim, seed=2_000 + i)
         signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-        blocks = np.zeros((dim, dim), dtype=complex)
-        for sector in (signs > 0, signs < 0):
-            blocks[np.ix_(sector, sector)] = random_unitary(int(np.count_nonzero(sector)), seed=i)
-        r = SymmetryTransform((v * signs) @ v.conj().T, antilinear=False, label="R")
-        cases.append((v @ blocks @ v.conj().T, r, v[:, 0], v[:, 1]))
+        s = commuting_unitary(v, signs, lambda n: random_unitary(n, seed=i))
+        cases.append((s, involution(v, signs), v[:, 0], v[:, 1]))
     for s, r, even, odd in cases:
         verdict = scattering_curie_check(s, r, even, odd)
         assert verdict.outcome == NO_CONCLUSION

@@ -33,6 +33,7 @@ from tvd import (
     symmetrize_invariant,
 )
 from tvd import linalg, oracle, symmetry, wigner
+from tvd._draws import half_spin_reversal, involution
 from tvd.linalg import _MEMOS
 from tvd.symmetry import compose, inverse
 
@@ -50,7 +51,7 @@ ORACLE_MEMOS = (
 # building a SymmetryTransform; the oracle builds none
 CHECK_MEMOS = (linalg._deviation,)
 SWAP = SymmetryTransform(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), antilinear=False, label="R")
-FLIP = SymmetryTransform(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), antilinear=True, label="T")
+FLIP = half_spin_reversal(2)
 
 
 def eigenrays(t: SymmetryTransform, h: np.ndarray) -> tuple:
@@ -328,7 +329,7 @@ def table_scenario(seed: int) -> Scenario:
     dim = 6
     kind = ("generic", "near_degenerate", "kramers")[seed % 3]
     v = random_unitary(dim, seed)
-    t = SymmetryTransform(np.kron(FLIP.unitary_part, np.eye(dim // 2)), antilinear=True, label="T")
+    t = half_spin_reversal(dim)
     if kind == "generic":
         h = random_hermitian(dim, seed)
         if seed % 2:
@@ -351,9 +352,9 @@ def table_scenario(seed: int) -> Scenario:
         shadowed = edge(lambda g: gap <= g * ratio * scale, gap / (ratio * scale))
         gap_tols += [g for x in (joins, shadowed) for g in (x, float(np.nextafter(x, 0.0)))]
     signs = np.where(np.arange(dim) < dim // 2, 1.0, -1.0)
-    r = SymmetryTransform((v * signs) @ v.conj().T, antilinear=False, label="R")
+    r = involution(v, signs)
     # a second involution, for a second (R, S) pair
-    r2 = SymmetryTransform((v * np.roll(signs, 1)) @ v.conj().T, antilinear=False, label="R2")
+    r2 = involution(v, np.roll(signs, 1), "R2")
     states = {"even": v[:, 0].copy(), "odd": v[:, -1].copy()}
     for k in range(3):
         states[f"rand_{k}"] = normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))

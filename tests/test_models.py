@@ -29,7 +29,7 @@ from tvd import (
     t_symmetric_smatrix,
     wigner_eckart_chain,
 )
-from tvd.selftest import _half_spin_reversal
+from tvd._draws import half_spin_reversal
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -150,7 +150,7 @@ def test_kaon_decay_epsilon_validation():
 
 def test_symmetrize_is_idempotent_and_commuting():
     linear = SymmetryTransform(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex), antilinear=False, label="R")
-    antilinear = [make(dim) for dim in (2, 4, 6) for make in (conjugation, _half_spin_reversal)]
+    antilinear = [make(dim) for dim in (2, 4, 6) for make in (conjugation, half_spin_reversal)]
     for r in [linear, *antilinear]:
         for seed in range(71, 81):
             projected = symmetrize_invariant(random_hermitian(r.dim, seed=seed), r)

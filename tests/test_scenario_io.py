@@ -860,9 +860,13 @@ def test_malformed_payload_gives_the_nested_result(case):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES) + ["valid"])
-def test_numbers_decoded_before_the_walk_give_the_serial_result(case, cpus):
+def test_numbers_decoded_before_the_walk_give_the_serial_result(case, cpus, monkeypatch):
     data = with_payload(*PAYLOAD_CASES[case]) if case != "valid" else FROZEN_SCENARIO_BYTES
-    assert outcome(partial(tvd.scenario._parse_scenario, cpus=cpus), data) == outcome(parse_scenario, data)
+    serial = outcome(parse_scenario, data)
+    if case == "valid" and cpus > 1:
+        # the nested parse would give the same arrays: only the compact route may answer
+        monkeypatch.setattr(tvd.scenario, "_parse_nested", mock.Mock(side_effect=AssertionError("fell back")))
+    assert outcome(partial(tvd.scenario._parse_scenario, cpus=cpus), data) == serial
 
 
 @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))

@@ -37,11 +37,10 @@ from tvd import (
     spectrum_clusters,
     wigner_principle_check,
 )
+from tvd._draws import half_spin_reversal
 from tvd.runner import oracle_record
 
-SIGMA_Y_FLIP = SymmetryTransform(
-    np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex), antilinear=True, label="T"
-)
+SIGMA_Y_FLIP = half_spin_reversal(2)
 
 
 def test_spectrum_clusters_groups_by_relative_gap():
@@ -209,8 +208,8 @@ def test_kramers_cases_under_a_minus_identity_reversal():
 def test_commuting_minus_identity_reversal_leaves_no_level_simple(dim):
     # averaging A with J conj(A) J^dag gives an H that J·K commutes with; as
     # (J·K)^2 = -1, every level is a Kramers pair
-    j = np.kron(np.eye(dim // 2), np.array([[0.0, 1.0], [-1.0, 0.0]])).astype(complex)
-    t = SymmetryTransform(j, antilinear=True, label="T")
+    t = half_spin_reversal(dim)
+    j = t.unitary_part
     a = random_hermitian(dim, seed=dim)
     h = (a + j @ a.conj() @ j.conj().T) / 2
     assert kramers_square(t).classification == MINUS_IDENTITY
