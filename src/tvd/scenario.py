@@ -15,7 +15,6 @@ numbers are two-element ``[re, im]`` arrays and reals are rendered with
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import math
@@ -166,8 +165,8 @@ def _units(value: object) -> list[_Unit]:
     return units
 
 
-def _format(units: list[_Unit], buf: io.BytesIO) -> None:
-    """Write ``units`` to ``buf``: text as it is, a row unit formatted."""
+def _format(units: list[_Unit], buf: io.BytesIO) -> io.BytesIO:
+    """Write ``units`` to ``buf``, and return it: text as it is, a row unit formatted."""
     for unit in units:
         if type(unit) is str:
             buf.write(unit.encode("ascii"))
@@ -175,6 +174,7 @@ def _format(units: list[_Unit], buf: io.BytesIO) -> None:
             rows, i, row = unit
             # + 0.0 folds -0.0 into 0.0, which '%.17g' renders as "0" like _format_real
             buf.write((row % tuple((rows[i] + 0.0).tolist())).encode("ascii"))
+    return buf
 
 
 # A format worker's slice must pay for its fork, pipe and reap. On a 2-vCPU VM that
@@ -206,35 +206,19 @@ def _slices(units: list[_Unit], cpus: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [len(units)]))
 
 
-def _send_formatted(units: list[_Unit], fd: int) -> None:
-    """Format ``units`` whole, then write their byte length (8 bytes, little-endian) and bytes to ``fd``.
-
-    Nothing is written before the last unit is formatted: a pipe filled
-    early would hold the writer until the caller, busy with its own slice,
-    came to read.
-    """
-    buf = io.BytesIO()
-    _format(units, buf)
-    with open(fd, "wb") as pipe:
-        pipe.write(buf.tell().to_bytes(8, "little"))
-        pipe.write(buf.getbuffer())
-
-
-def _copy_formatted(pipe: io.BufferedReader, buf: io.BytesIO) -> bool:
-    """Read one worker's slice from ``pipe`` straight into ``buf``, grown once to fit it; False, ``buf`` as it was, if the stream is short.
+def _copy_formatted(buf: io.BytesIO, pipe: io.BufferedReader, size: int) -> bool:
+    """Read a worker's ``size`` formatted bytes from ``pipe`` straight into ``buf``, grown once to fit them; False, ``buf`` as it was, if the pipe ends first.
 
     No copy of the slice is held beside the buffer, so the caller's peak
     memory is that of one process writing the document alone.
     """
     start = buf.tell()
-    header = pipe.read(8)
-    size = int.from_bytes(header, "little") if len(header) == 8 else 0
     if size:
         buf.seek(start + size - 1)
         buf.write(b"\0")
-        with buf.getbuffer()[start:] as view:
-            if pipe.readinto(view) == size:
-                return True
+    with buf.getbuffer()[start:] as view:
+        if pipe.readinto(view) == size:
+            return True
     buf.seek(start)
     buf.truncate()
     return False
@@ -244,20 +228,14 @@ def canonical_dumps(value: object) -> bytes:
     """The canonical JSON bytes of ``value``, newline-terminated.
 
     Once the walk has laid out the document, its array rows are formatted
-    in slices (``_slices``) over the usable CPUs: this process formats the
-    first slice while one forked child per further slice formats its own,
-    and then copies each child's bytes in order. A slice whose child did
-    not start, failed, died or sent a short stream is formatted here, so
-    the bytes are always those of one process.
+    in slices (``_slices``), one share each of ``_workers.scatter``, so
+    the bytes are those of one process whatever becomes of a child.
     """
     units = _units(value)
-    first, *rest = _slices(units, _workers.usable_cpus())
     buf = io.BytesIO()
-    with _workers.forked([partial(_send_formatted, units[start:stop]) for start, stop in rest]) as pipes:
-        _format(units[slice(*first)], buf)
-        for (start, stop), pipe in zip(rest, pipes):
-            if pipe is None or not _copy_formatted(pipe, buf):
-                _format(units[start:stop], buf)
+    _workers.scatter([units[start:stop] for start, stop in _slices(units, _workers.usable_cpus())],
+                     partial(_format, buf=buf), lambda units: _format(units, io.BytesIO()).getbuffer(),
+                     partial(_copy_formatted, buf))
     # the buffer itself, trimmed to size, not a copy of it
     return buf.getvalue()
 
@@ -351,32 +329,13 @@ def _read_compact(payload: bytes | memoryview, dim: int) -> np.ndarray | None:
     return frozen(pairs.view(np.complex128).reshape(shape[:-1])) if np.isfinite(pairs).all() else None
 
 
-def _read_share(share: dict[str, memoryview], dim: int) -> dict[str, np.ndarray | None]:
-    """Each payload of ``share`` read (``_read_compact``), by placeholder; each is dropped from ``share`` once read."""
-    return {key: _read_compact(share.pop(key), dim) for key in list(share)}
-
-
-def _send_arrays(share: dict[str, memoryview], dim: int, fd: int) -> None:
-    """Read ``share`` whole, then write its arrays by placeholder (None if unreadable) to ``fd`` as one pickle.
-
-    Nothing is written before the last payload is read: a pipe filled
-    early would hold the writer until the caller, busy with its own share,
-    came to read.
-    """
-    arrays = _read_share(share, dim)
-    with open(fd, "wb") as pipe:
-        pickle.dump(arrays, pipe, pickle.HIGHEST_PROTOCOL)
-
-
 def _read_arrays(payloads: dict[str, memoryview], dim: int, cpus: int) -> dict[str, np.ndarray | None]:
     """Every payload read (``_read_compact``), by placeholder, over at most ``cpus`` processes; ``payloads`` is emptied.
 
     The payloads are dealt by byte size, largest first, each to the share
-    with the fewest bytes so far, one share per process. This process reads
-    the first share while one forked child per further share reads its own
-    (``_send_arrays``), then freezes each array a child sends. A share whose
-    child did not start, failed, died or sent a short stream is read here,
-    so the arrays are those of one process.
+    with the fewest bytes so far, one share per process of
+    ``_workers.scatter``. A child sends its share's arrays as one pickle,
+    and each is frozen again here.
     """
     shares: list[dict[str, memoryview]] = [{} for _ in range(max(1, min(cpus, len(payloads))))]
     sizes = [0] * len(shares)
@@ -384,14 +343,19 @@ def _read_arrays(payloads: dict[str, memoryview], dim: int, cpus: int) -> dict[s
         lightest = sizes.index(min(sizes))
         sizes[lightest] += len(payloads[key])
         shares[lightest][key] = payloads.pop(key)
-    with _workers.forked([partial(_send_arrays, share, dim) for share in shares[1:]]) as pipes:
-        arrays = _read_share(shares[0], dim)
-        for share, pipe in zip(shares[1:], pipes):
-            if pipe is not None:
-                with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                    arrays.update((key, None if a is None else frozen(a)) for key, a in pickle.load(pipe).items())
-                    share.clear()
-            arrays.update(_read_share(share, dim))
+    arrays: dict[str, np.ndarray | None] = {}
+
+    def read(share: dict[str, memoryview]) -> dict[str, np.ndarray | None]:
+        return {key: _read_compact(payload, dim) for key, payload in share.items()}
+
+    def take(pipe: io.BufferedReader, size: int) -> bool:
+        sent = pipe.read(size)
+        if len(sent) == size:
+            arrays.update((key, None if a is None else frozen(a)) for key, a in pickle.loads(sent).items())
+        return len(sent) == size
+
+    _workers.scatter(shares, lambda share: arrays.update(read(share)),
+                     lambda share: pickle.dumps(read(share), pickle.HIGHEST_PROTOCOL), take)
     return arrays
 
 
@@ -514,7 +478,7 @@ def _parse_compact(raw: bytes, cpus: int) -> Scenario | None:
     text, payloads = spliced
     try:
         doc = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return None
     dim = doc.get("dim") if isinstance(doc, dict) else None
     if type(dim) is not int or dim < 1:
@@ -539,7 +503,8 @@ def _parse_nested(data: bytes | str) -> Scenario:
             raise ScenarioError(f"invalid UTF-8: {exc}", "document") from None
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nesting level, and gives up past the recursion limit
         raise ScenarioError(f"invalid JSON: {exc}") from None
     return _parse_document(doc, {})
 

@@ -26,6 +26,13 @@ def assert_no_children() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(autouse=True)
+def reaped_children():
+    """End every test with every child process it started reaped."""
+    yield
+    assert_no_children()
+
+
 def count_forks(monkeypatch) -> list[int]:
     """The pids of the children ``os.fork`` starts from now on."""
     forks = []
@@ -39,3 +46,9 @@ def count_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", counting)
     return forks
+
+
+def send_half(encode, share, fd: int) -> None:
+    """A worker child's body (``tvd._workers._send``) that stops half way through its answer."""
+    answer = bytes(encode(share))
+    os.write(fd, len(answer).to_bytes(8, "little") + answer[: len(answer) // 2])

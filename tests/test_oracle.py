@@ -428,6 +428,18 @@ def test_keyed_draws_are_sound_and_their_regimes_hold(detector, regime, dim, see
         assert {record.verdict.is_violation for record in report.records} == {regime == MAXIMAL}
 
 
+# ROADMAP item 18: at a gap_tol far below rounding, a Kramers pair split only by rounding counts as
+# two simple levels, each of which T moves wholly, so the detector reports an unsound Violation
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the wigner cluster limit has no rounding floor")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kramers_pairs_split_by_rounding_give_no_violation(seed):
+    scenario = draw_scenario("wigner", SYMMETRIC, 4, seed, kramers=True)
+    (request,) = scenario.requests
+    request = dataclasses.replace(request, params={**request.params, "gap_tol": 1e-20})
+    verdict, record = oracle_on(dataclasses.replace(scenario, requests=(request,)))
+    assert not verdict.is_violation and record.agreed, record.note
+
+
 # for each detector, a scenario whose symmetry commutes exactly
 COMMUTING = {
     # H commutes with the swap exactly

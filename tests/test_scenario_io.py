@@ -5,7 +5,6 @@ import io
 import json
 import os
 import pickle
-import signal
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from conftest import assert_no_children, count_forks
+from conftest import assert_no_children, count_forks, send_half
 
 from tvd import (
     OracleRecord,
@@ -501,12 +500,7 @@ def format_workers(mp, cpus: int, floats: int | None = None) -> None:
 def slice_texts(value: object, cpus: int) -> list[bytes]:
     """The bytes of each slice ``canonical_dumps`` cuts ``value`` into at ``cpus`` usable CPUs."""
     units = tvd.scenario._units(value)
-    texts = []
-    for start, stop in tvd.scenario._slices(units, cpus):
-        buf = io.BytesIO()
-        tvd.scenario._format(units[start:stop], buf)
-        texts.append(buf.getvalue())
-    return texts
+    return [tvd.scenario._format(units[start:stop], io.BytesIO()).getvalue() for start, stop in tvd.scenario._slices(units, cpus)]
 
 
 def ramp(*shape: int) -> np.ndarray:
@@ -534,7 +528,6 @@ def test_format_workers_cut_at_rows(value, want, monkeypatch):
     format_workers(monkeypatch, 2)
     assert canonical_dumps(value) == serial
     assert len(forks) == 1
-    assert_no_children()
 
 
 @given(
@@ -573,52 +566,16 @@ def test_format_slices_are_contiguous_balanced_and_large_enough(widths, cpus, fl
         assert all(size - widths[stop - 1] < share <= size for size, (_, stop) in zip(sizes[:-1], slices))
 
 
-def send_nothing(units, fd):
-    os._exit(0)
-
-
-def send_raising(units, fd):
-    raise RuntimeError("format worker failed")
-
-
-def send_killed(units, fd):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def send_short(units, fd):
-    buf = io.BytesIO()
-    tvd.scenario._format(units, buf)
-    with open(fd, "wb") as pipe:
-        pipe.write(buf.tell().to_bytes(8, "little") + buf.getvalue()[: buf.tell() // 2])
-
-
-def send_after_a_short_header(units, fd):
-    with open(fd, "wb") as pipe:
-        pipe.write(b"\x01\x02")
-
-
-@pytest.mark.parametrize("send", [send_nothing, send_raising, send_killed, send_short, send_after_a_short_header])
-def test_a_failed_format_worker_leaves_its_slice_to_the_caller(send, monkeypatch):
+def test_a_failed_format_worker_leaves_its_slice_to_the_caller(monkeypatch):
     doc = {"a": ramp(6, 6), "b": [ramp(5), ramp(3, 3)], "c": -0.0}
     format_workers(monkeypatch, 1, 8)
     serial = canonical_dumps(doc)
     forks = count_forks(monkeypatch)
     format_workers(monkeypatch, 3)
-    monkeypatch.setattr(tvd.scenario, "_send_formatted", send)
+    # every failure kind of a child is tested on tvd._workers.scatter; this pins the format fallback
+    monkeypatch.setattr(tvd._workers, "_send", send_half)
     assert canonical_dumps(doc) == serial
     assert len(forks) == 2
-    assert_no_children()
-
-
-def test_format_slices_whose_worker_did_not_start_are_formatted_by_the_caller(monkeypatch):
-    doc = [ramp(6, 6), ramp(4)]
-    format_workers(monkeypatch, 1, 8)
-    serial = canonical_dumps(doc)
-    forks = count_forks(monkeypatch)
-    format_workers(monkeypatch, 3)
-    monkeypatch.setattr(tvd._workers, "fork", lambda work: None)
-    assert canonical_dumps(doc) == serial
-    assert forks == []
 
 
 def test_a_small_document_and_every_report_fork_no_format_worker(monkeypatch):
