@@ -1,9 +1,9 @@
 """Forked workers: the one fork, pipe and reap path for the parse, decode and format workers.
 
-The decode and format workers share one protocol (``scatter``); the
-parse workers stream their own (``cli._parse_workers``). A child only
-parses, decodes or formats: it never calls BLAS, whose threads fork did
-not copy.
+The decode and format workers share one protocol (``scatter``) and one
+share count (``share_count``); the parse workers stream their own
+(``cli._parse_workers``). A child only parses, decodes or formats: it
+never calls BLAS, whose threads fork did not copy.
 """
 
 from __future__ import annotations
@@ -18,6 +18,14 @@ from typing import TypeVar
 
 _Share = TypeVar("_Share")
 
+# The fewest floats a decode or format share holds, so that its child pays for its fork,
+# pipe and reap. On a 2-vCPU VM (in process, medians of 40 pairs alternating one usable
+# CPU and two), decoding a shipped scenario took 0.3 to 0.6 ms alone and 4.1 to 5.9 ms
+# with a child. Decoding broke even at about 23k floats and won from about 41k; formatting
+# lost at about 10k floats and won from about 23k. Two shares of 1 << 14 floats, the
+# fewest that fork, lie above both break-evens and below the 41k from which both won.
+SHARE_FLOATS = 1 << 14
+
 
 def usable_cpus() -> int:
     """The CPUs this process may run on; 1 without ``os.fork``, which could not use more."""
@@ -26,6 +34,11 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def share_count(floats: int, cpus: int) -> int:
+    """The shares work on ``floats`` floats is cut into: one per CPU at most, each of ``SHARE_FLOATS`` floats or more."""
+    return max(1, min(cpus, floats // SHARE_FLOATS))
 
 
 def fork(work: Callable[[int], None]) -> tuple[int, io.BufferedReader] | None:

@@ -7,13 +7,13 @@ and replays the module invariant suites.
 
 ``check`` over several files reads and parses the later ones in one forked
 child per further usable CPU (``_parse_workers``). A file the command parses
-itself (``oracle``'s, or ``check``'s when there are fewer files than usable
-CPUs) has its compact arrays read over its own CPU and the CPUs the files
-leave idle (``scenario._parse_scenario``). ``models`` writes a scenario whose
-arrays are large enough with their rows formatted over the usable CPUs
-(``serialize_scenario``). Every detector still runs on the calling thread,
-one scenario after another, and reports are written there, so reports and
-errors are those of a one-CPU run. ``--jobs N`` is accepted and ignored.
+itself (``oracle``'s, or ``check``'s with fewer files than usable CPUs) has
+its compact arrays read over its own CPU and the CPUs the files leave idle
+(``scenario._parse_scenario``), and ``models`` formats a scenario's rows over
+the usable CPUs (``serialize_scenario``), once the arrays are large enough to
+pay for a child (``_workers.SHARE_FLOATS``). Detectors run on the calling
+thread, one scenario after another, which writes every report too, so reports
+and errors are those of a one-CPU run. ``--jobs N`` is accepted and ignored.
 
 Tolerance and seed precedence, highest first: command line flags, the
 environment (``TVD_TOL_ZERO``, ``TVD_TOL_VIOLATION``, ``TVD_SEED``),
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
                        help="accepted and ignored: later scenario files are parsed in "
                             "one forked process per further usable CPU, CPUs left over "
-                            "read the arrays of the files the command parses itself, "
+                            "read the large arrays of the files the command parses itself, "
                             "and detectors run one scenario after another on the "
                             "calling thread, which also writes every report")
     _add_shared_args(check)

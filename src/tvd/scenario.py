@@ -30,7 +30,7 @@ from . import _workers
 from .config import Tolerances
 from .detectors import REFERENCES, request_params
 from .errors import ConfigError, ScenarioError
-from .linalg import frozen
+from .linalg import _frozen_bytes, frozen
 from .symmetry import SymmetryTransform
 from .verdict import Verdict
 
@@ -177,31 +177,23 @@ def _format(units: list[_Unit], buf: io.BytesIO) -> io.BytesIO:
     return buf
 
 
-# A format worker's slice must pay for its fork, pipe and reap. On a 2-vCPU VM that
-# round trip took 0.9 to 1.6 ms from a 60 to 75 MB process, and formatting took 230 to
-# 430 ns per random float (about 150 ns for a zero). 1 << 16 floats are at least 10 ms
-# of formatting, so a child costs at most about a sixth of the time it takes over.
-_SLICE_FLOATS = 1 << 16
-
-
 def _slices(units: list[_Unit], cpus: int) -> list[tuple[int, int]]:
-    """Cut ``units`` at rows into at most ``cpus`` contiguous slices of about equal float count.
+    """Cut ``units`` at rows into ``_workers.share_count`` contiguous slices of about equal float count.
 
-    Every slice holds at least ``_SLICE_FLOATS`` floats: each slice closes
-    at the first row that takes it to an equal share, and a short remainder
-    joins the last slice closed. Fewer floats than two slices need leave
-    one slice.
+    Each slice closes at the first row that takes it to an equal share, and
+    a remainder short of ``_workers.SHARE_FLOATS`` floats joins the last
+    slice closed, so every slice holds at least that many.
     """
     sizes = [0 if type(unit) is str else unit[0].shape[1] for unit in units]
     total = sum(sizes)
-    count = min(cpus, total // _SLICE_FLOATS)
+    count = _workers.share_count(total, cpus)
     cuts, filled = [0], 0
     for i, size in enumerate(sizes):
         filled += size
         if count > 1 and filled * count >= total:
             cuts.append(i + 1)
             filled = 0
-    if len(cuts) > 1 and filled < _SLICE_FLOATS:
+    if len(cuts) > 1 and filled < _workers.SHARE_FLOATS:
         cuts.pop()
     return list(zip(cuts, cuts[1:] + [len(units)]))
 
@@ -297,6 +289,10 @@ def _has_empty_slot(payload: bytes) -> bool:
     return any(_EMPTY_SLOT_PAIRS[0] in view or _EMPTY_SLOT_PAIRS[1] in view for view in views)
 
 
+def _shape(payload: bytes | memoryview, dim: int) -> tuple[int, ...]:
+    return (dim, dim, 2) if payload[:3] == b"[[[" else (dim, 2)
+
+
 def _read_compact(payload: bytes | memoryview, dim: int) -> np.ndarray | None:
     """A spliced payload as a finished read-only array: a ``dim``×``dim`` matrix if it opens with three brackets, else a state.
 
@@ -310,7 +306,7 @@ def _read_compact(payload: bytes | memoryview, dim: int) -> np.ndarray | None:
     space. Only ``json`` and numpy's array constructor run here, never BLAS.
     """
     payload = bytes(payload)  # a view of the document is copied only while it is read
-    shape = (dim, dim, 2) if payload.startswith(b"[[[") else (dim, 2)
+    shape = _shape(payload, dim)
     skeleton = payload.translate(None, _NUMBER_BYTES)
     length = 0
     for n in reversed(shape):
@@ -332,12 +328,13 @@ def _read_compact(payload: bytes | memoryview, dim: int) -> np.ndarray | None:
 def _read_arrays(payloads: dict[str, memoryview], dim: int, cpus: int) -> dict[str, np.ndarray | None]:
     """Every payload read (``_read_compact``), by placeholder, over at most ``cpus`` processes; ``payloads`` is emptied.
 
-    The payloads are dealt by byte size, largest first, each to the share
-    with the fewest bytes so far, one share per process of
-    ``_workers.scatter``. A child sends its share's arrays as one pickle,
-    and each is frozen again here.
+    The payloads' floats (``_shape``) give at most one share per payload
+    (``_workers.share_count``), dealt by byte size, largest first, each to
+    the share with the fewest bytes so far. A child sends each array as the
+    arguments that rebuild it here, over the bytes it views (``frozen``).
     """
-    shares: list[dict[str, memoryview]] = [{} for _ in range(max(1, min(cpus, len(payloads))))]
+    floats = sum(math.prod(_shape(payload, dim)) for payload in payloads.values())
+    shares: list[dict[str, memoryview]] = [{} for _ in range(_workers.share_count(floats, min(cpus, len(payloads))))]
     sizes = [0] * len(shares)
     for key in sorted(payloads, key=lambda key: len(payloads[key]), reverse=True):
         lightest = sizes.index(min(sizes))
@@ -351,11 +348,11 @@ def _read_arrays(payloads: dict[str, memoryview], dim: int, cpus: int) -> dict[s
     def take(pipe: io.BufferedReader, size: int) -> bool:
         sent = pipe.read(size)
         if len(sent) == size:
-            arrays.update((key, None if a is None else frozen(a)) for key, a in pickle.loads(sent).items())
+            arrays.update((key, a if a is None else np.ndarray(*a)) for key, a in pickle.loads(sent).items())
         return len(sent) == size
 
-    _workers.scatter(shares, lambda share: arrays.update(read(share)),
-                     lambda share: pickle.dumps(read(share), pickle.HIGHEST_PROTOCOL), take)
+    _workers.scatter(shares, lambda share: arrays.update(read(share)), lambda share: pickle.dumps(
+        {key: a if a is None else (a.shape, a.dtype, _frozen_bytes(a)) for key, a in read(share).items()}), take)
     return arrays
 
 
@@ -638,9 +635,9 @@ def scenario_jsonable(scenario: Scenario) -> dict:
 def serialize_scenario(scenario: Scenario) -> bytes:
     """The scenario's canonical document (``canonical_dumps``).
 
-    A document whose arrays hold at least ``2 * _SLICE_FLOATS`` floats has
-    its rows formatted over the usable CPUs, in forked children as well as
-    in this process; every child is reaped before the call returns, and the
+    A document whose arrays hold at least ``2 * _workers.SHARE_FLOATS``
+    floats has its rows formatted over the usable CPUs, in forked children
+    as well as here; every child is reaped before the call returns, and the
     bytes are those of one process whatever becomes of a child.
     """
     return canonical_dumps(_scenario_doc(scenario, partial(np.asarray, dtype=complex)))

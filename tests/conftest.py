@@ -3,6 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
+import tvd._workers
 from tvd.linalg import _MEMOS
 
 # print_blob: a failure prints its @reproduce_failure line, since CI keeps no example database
@@ -46,6 +47,16 @@ def count_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", counting)
     return forks
+
+
+def usable_cpus(monkeypatch, cpus: int, floor: int | None = None) -> None:
+    """Make the workers see ``cpus`` usable CPUs and, if given, cut shares of at least ``floor`` floats (``SHARE_FLOATS``).
+
+    One CPU gives the serial path, which forks nothing.
+    """
+    monkeypatch.setattr(tvd._workers, "usable_cpus", lambda: cpus)
+    if floor is not None:
+        monkeypatch.setattr(tvd._workers, "SHARE_FLOATS", floor)
 
 
 def send_half(encode, share, fd: int) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import assert_no_children, count_forks, send_half
+from conftest import assert_no_children, count_forks, send_half, usable_cpus
 
 from tvd import (
     DETECTORS,
@@ -319,6 +319,12 @@ def test_check_schema_version_must_be_the_integer_one(tmp_path, capsysbinary, ve
     assert (got_code, got_err) == (code, err)
 
 
+def test_check_dim_must_be_an_integer_of_at_least_one(tmp_path, capsysbinary):
+    target = tmp_path / "dim.json"
+    target.write_bytes(KAON_DECAY.read_bytes().replace(b'"dim":2', b'"dim":0', 1))
+    assert run_cli(capsysbinary, "check", "--scenario", str(target)) == (2, b"", b"error: dim: dim must be an integer >= 1\n")
+
+
 def test_check_out_single_file(tmp_path, capsysbinary):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsysbinary, "check", "--scenario", str(KAON_DECAY), "--out", str(target))
@@ -412,14 +418,9 @@ def dim_64_files(tmp_path):
     return paths
 
 
-def usable_cpus(monkeypatch, n):
-    """Make ``tvd check`` and ``tvd oracle`` see ``n`` usable CPUs; 1 gives the serial path, which forks nothing."""
-    monkeypatch.setattr(tvd._workers, "usable_cpus", lambda: n)
-
-
 def test_check_jobs_do_not_change_bytes(tmp_path, capsysbinary, monkeypatch):
-    forks = count_forks(monkeypatch)
     argv = check_argv(SHIPPED + dim_64_files(tmp_path))
+    forks = count_forks(monkeypatch)
     outputs = []
     # --jobs is ignored: the usable CPUs set the number of children
     for cpus, jobs in ((1, "3"), (2, "1"), (3, "2")):
@@ -438,18 +439,20 @@ def test_check_jobs_runs_every_scenario_on_the_calling_thread(tmp_path, capsysbi
         arrays = [*scenario.matrices.values(), *scenario.states.values()]
         arrays += [g.unitary_part for g in scenario.symmetries.values()]
         frozen = all(_frozen_bytes(arr) is not None for arr in arrays)
-        seen.append((threading.get_ident(), serialize_scenario(scenario), frozen))
+        seen.append((threading.get_ident(), scenario, frozen))
         return run_scenario(scenario, *args, **kwargs)
 
     monkeypatch.setattr(tvd.cli, "run_scenario", recording)
+    paths = SHIPPED + dim_64_files(tmp_path)
     usable_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    paths = SHIPPED + dim_64_files(tmp_path)
     code, _, _ = run_cli(capsysbinary, *check_argv(paths))
     assert code == 0
     assert len(forks) == 1
     expected = [serialize_scenario(parse_scenario(Path(p).read_bytes())) for p in paths]
-    assert seen == [(threading.get_ident(), doc, True) for doc in expected]
+    assert [(ident, serialize_scenario(scenario), frozen) for ident, scenario, frozen in seen] == [
+        (threading.get_ident(), doc, True) for doc in expected
+    ]
 
 
 def with_missing_later_file(tmp_path):
@@ -483,8 +486,8 @@ def with_non_unitary_earlier_file(tmp_path):
     ],
 )
 def test_check_workers_fail_like_one_cpu(tmp_path, capsysbinary, monkeypatch, files, err):
-    forks = count_forks(monkeypatch)
     argv = check_argv(files(tmp_path))
+    forks = count_forks(monkeypatch)
     usable_cpus(monkeypatch, 1)
     serial = run_cli(capsysbinary, *argv)
     assert forks == []
@@ -635,6 +638,8 @@ def test_forked_decoder_gives_the_serial_scenario_bit_for_bit(tmp_path, monkeypa
         assert all(frozen for *_, frozen in want[1].values())
         for cpus in (2, 3):
             before = len(forks)
+            # every array a share of its own, so that the small files reach the decode workers too
+            usable_cpus(monkeypatch, cpus, floor=1)
             # the nested parse would give the same arrays: only the compact route may answer
             with mock.patch.object(tvd.scenario, "_parse_nested", side_effect=AssertionError("fell back")):
                 got = tvd.cli._read_scenario(path, cpus)
@@ -649,7 +654,7 @@ def oracle_at(capsysbinary, monkeypatch, cpus, path):
 
 
 def test_oracle_decodes_a_lone_file_over_the_usable_cpus(tmp_path, capsysbinary, monkeypatch):
-    path = dim_64_files(tmp_path)[1]
+    path = dim_256_file(tmp_path)
     forks = count_forks(monkeypatch)
     serial = oracle_at(capsysbinary, monkeypatch, 1, path)
     assert serial[0] == 0 and serial[2] == b""
@@ -667,6 +672,7 @@ def test_a_failed_decode_worker_leaves_its_share_to_the_caller(tmp_path, monkeyp
     monkeypatch.setattr(tvd._workers, "_send", send_half)
     # the nested parse would give the same arrays: only the compact route may answer
     monkeypatch.setattr(tvd.scenario, "_parse_nested", mock.Mock(side_effect=AssertionError("fell back")))
+    usable_cpus(monkeypatch, 2, floor=1)
     forks = count_forks(monkeypatch)
     assert scenario_arrays(tvd.cli._read_scenario(path, 2)) == want
     assert len(forks) == 1
@@ -678,10 +684,11 @@ def test_check_decodes_the_files_it_parses_on_the_cpus_the_runs_leave(tmp_path, 
     usable_cpus(monkeypatch, 1)
     serial = run_cli(capsysbinary, *argv)
     assert serial[0] == 0 and serial[2] == b""
-    # one parse worker from two CPUs on; the spare CPUs decode the file this process parses
+    # one parse worker from two CPUs on; the spare CPUs decode the file this process parses,
+    # one array a share at the least
     for cpus, children in ((2, 1), (3, 2), (4, 3)):
         del forks[:]
-        usable_cpus(monkeypatch, cpus)
+        usable_cpus(monkeypatch, cpus, floor=1)
         assert run_cli(capsysbinary, *argv) == serial
         assert len(forks) == children
         assert_no_children()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from conftest import assert_no_children, count_forks, send_half
+from conftest import assert_no_children, count_forks, send_half, usable_cpus
 
 from tvd import (
     OracleRecord,
@@ -481,20 +481,13 @@ def test_parsing_a_dim_128_scenario_costs_under_twice_its_size():
 
 
 def test_serializing_a_dim_128_scenario_on_one_cpu_costs_about_its_own_size(monkeypatch):
-    monkeypatch.setattr(tvd._workers, "usable_cpus", lambda: 1)
+    usable_cpus(monkeypatch, 1)
     forks = count_forks(monkeypatch)
     test_serializing_a_dim_128_scenario_costs_about_its_own_size()
     assert forks == []
 
 
 # The format workers: the rows of a document's arrays formatted in slices over forked children.
-
-
-def format_workers(mp, cpus: int, floats: int | None = None) -> None:
-    """Make ``canonical_dumps`` see ``cpus`` usable CPUs and, if given, cut slices of at least ``floats`` floats."""
-    mp.setattr(tvd._workers, "usable_cpus", lambda: cpus)
-    if floats is not None:
-        mp.setattr(tvd.scenario, "_SLICE_FLOATS", floats)
 
 
 def slice_texts(value: object, cpus: int) -> list[bytes]:
@@ -521,11 +514,11 @@ def ramp(*shape: int) -> np.ndarray:
     ids=["inside_a_matrix", "at_an_array_boundary", "before_a_state", "after_a_state"],
 )
 def test_format_workers_cut_at_rows(value, want, monkeypatch):
-    format_workers(monkeypatch, 1, 8)
+    usable_cpus(monkeypatch, 1, 8)
     serial = canonical_dumps(value)
     assert slice_texts(value, 2) == want and b"".join(want) == serial
     forks = count_forks(monkeypatch)
-    format_workers(monkeypatch, 2)
+    usable_cpus(monkeypatch, 2)
     assert canonical_dumps(value) == serial
     assert len(forks) == 1
 
@@ -538,10 +531,10 @@ def test_format_workers_cut_at_rows(value, want, monkeypatch):
 def test_format_workers_give_the_one_cpu_bytes(items, cpus, floats):
     doc = {"items": items, "last": items[-1]}
     with pytest.MonkeyPatch.context() as mp:
-        format_workers(mp, 1, floats)
+        usable_cpus(mp, 1, floats)
         serial = canonical_dumps(doc)
         forks = count_forks(mp)
-        format_workers(mp, cpus)
+        usable_cpus(mp, cpus)
         got = canonical_dumps(doc)
         slices = slice_texts(doc, cpus)
     assert got == serial == b"".join(slices)
@@ -553,7 +546,7 @@ def test_format_workers_give_the_one_cpu_bytes(items, cpus, floats):
 def test_format_slices_are_contiguous_balanced_and_large_enough(widths, cpus, floats):
     # a width of 0 stands for text; any other for a row of that many floats
     units = ["x" if width == 0 else (np.zeros((1, width)), 0, "") for width in widths]
-    with mock.patch.object(tvd.scenario, "_SLICE_FLOATS", floats):
+    with mock.patch.object(tvd._workers, "SHARE_FLOATS", floats):
         slices = tvd.scenario._slices(units, cpus)
     assert [start for start, _ in slices] == [0] + [stop for _, stop in slices[:-1]]
     assert slices[-1][1] == len(units)
@@ -568,30 +561,41 @@ def test_format_slices_are_contiguous_balanced_and_large_enough(widths, cpus, fl
 
 def test_a_failed_format_worker_leaves_its_slice_to_the_caller(monkeypatch):
     doc = {"a": ramp(6, 6), "b": [ramp(5), ramp(3, 3)], "c": -0.0}
-    format_workers(monkeypatch, 1, 8)
+    usable_cpus(monkeypatch, 1, 8)
     serial = canonical_dumps(doc)
     forks = count_forks(monkeypatch)
-    format_workers(monkeypatch, 3)
+    usable_cpus(monkeypatch, 3)
     # every failure kind of a child is tested on tvd._workers.scatter; this pins the format fallback
     monkeypatch.setattr(tvd._workers, "_send", send_half)
     assert canonical_dumps(doc) == serial
     assert len(forks) == 2
 
 
-def test_a_small_document_and_every_report_fork_no_format_worker(monkeypatch):
-    format_workers(monkeypatch, 8)
-    forks = count_forks(monkeypatch)
-    assert serialize_scenario(small_scenario()) == FROZEN_SCENARIO_BYTES
+def test_small_documents_and_every_report_fork_no_worker_at_any_cpu_count(monkeypatch):
     scenario = _dim_128_scenario()
     # a report holds no complex arrays, so however long it is, it is all text
     report = run_scenario(scenario, scenario.effective_tolerances())
     report = dataclasses.replace(report, oracle=oracle_compare(scenario, report, scenario.effective_tolerances()))
     assert all(type(unit) is str for unit in tvd.scenario._units(report_jsonable(report)))
-    serialize_report(report)
+    usable_cpus(monkeypatch, 1)
+    reports = [serialize_report(report)]
+    shipped = {}
     for path in shipped_scenario_paths().values():
-        scenario = parse_scenario(path.read_bytes())
-        assert serialize_scenario(scenario) == path.read_bytes()
-        serialize_report(run_scenario(scenario, scenario.effective_tolerances()))
+        parsed = parse_scenario(path.read_bytes())
+        reports.append(serialize_report(run_scenario(parsed, parsed.effective_tolerances())))
+        shipped[path.read_bytes()] = outcome(parse_scenario, path.read_bytes())
+    forks = count_forks(monkeypatch)
+    for cpus in (1, 2, 8):
+        usable_cpus(monkeypatch, cpus)
+        assert serialize_scenario(small_scenario()) == FROZEN_SCENARIO_BYTES
+        got = [serialize_report(report)]
+        for data, arrays in shipped.items():
+            # decoded over every usable CPU, as tvd oracle decodes its file
+            assert outcome(partial(tvd.scenario._parse_scenario, cpus=cpus), data) == arrays
+            parsed = tvd.scenario._parse_scenario(data, cpus)
+            assert serialize_scenario(parsed) == data
+            got.append(serialize_report(run_scenario(parsed, parsed.effective_tolerances())))
+        assert got == reports
     assert forks == []
 
 
@@ -815,6 +819,15 @@ def test_malformed_payload_gives_the_nested_result(case):
     assert_parses_like_nested(with_payload(*PAYLOAD_CASES[case]))
 
 
+# cases whose text between the arrays does not parse as JSON, so that no array is decoded
+UNREAD_TEXT_CASES = {"matrix_too_deep", "state_extra_comma", "state_unclosed", "state_whitespace"}
+
+
+def decode_children(case: str, cpus: int) -> int:
+    """The decode workers the three arrays of a ``PAYLOAD_CASES`` document get at ``cpus`` CPUs, one array per share."""
+    return 0 if case in UNREAD_TEXT_CASES else min(cpus, 3) - 1
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES) + ["valid"])
 def test_numbers_decoded_before_the_walk_give_the_serial_result(case, cpus, monkeypatch):
@@ -823,7 +836,10 @@ def test_numbers_decoded_before_the_walk_give_the_serial_result(case, cpus, monk
     if case == "valid" and cpus > 1:
         # the nested parse would give the same arrays: only the compact route may answer
         monkeypatch.setattr(tvd.scenario, "_parse_nested", mock.Mock(side_effect=AssertionError("fell back")))
+    usable_cpus(monkeypatch, cpus, floor=1)
+    forks = count_forks(monkeypatch)
     assert outcome(partial(tvd.scenario._parse_scenario, cpus=cpus), data) == serial
+    assert len(forks) == decode_children(case, cpus)
 
 
 @pytest.mark.parametrize("case", sorted(PAYLOAD_CASES))
@@ -833,13 +849,58 @@ def test_malformed_payload_fails_the_oracle_at_two_cpus_as_at_one(case, tmp_path
     forks = count_forks(monkeypatch)
     results = []
     for cpus in (1, 2):
-        monkeypatch.setattr(tvd._workers, "usable_cpus", lambda: cpus)
+        usable_cpus(monkeypatch, cpus, floor=1)
         code = tvd.cli.main(["oracle", "--scenario", str(path), "--format", "json"])
         results.append((code, *capsysbinary.readouterr()))
-        # a document whose text between the arrays does not parse decodes nothing
-        assert len(forks) <= cpus - 1
+        assert len(forks) == decode_children(case, cpus)
         assert_no_children()
     assert results[1] == results[0]
+
+
+def test_a_dim_128_model_is_written_and_read_with_workers_at_two_cpus(monkeypatch):
+    scenario = build_model_scenario("t-symmetric-s", {"dim": 128})
+    usable_cpus(monkeypatch, 1)
+    data = serialize_scenario(scenario)
+    forks = count_forks(monkeypatch)
+    usable_cpus(monkeypatch, 2)
+    assert serialize_scenario(scenario) == data
+    assert len(forks) == 1
+    assert outcome(partial(tvd.scenario._parse_scenario, cpus=2), data) == outcome(parse_scenario, data)
+    assert len(forks) == 2
+
+
+def test_every_array_a_decode_worker_sends_comes_back_as_frozen_keeps_it(monkeypatch):
+    data = serialize_scenario(build_model_scenario("t-symmetric-s", {"dim": 128}))
+    serial = {key: a.tobytes() for key, a in tvd.scenario._read_arrays(tvd.scenario._splice(data)[1], 128, 1).items()}
+    read_here, freezes = [], []
+    real_read, real_frozen = tvd.scenario._read_compact, tvd.scenario.frozen
+
+    def reading_here(payload, dim):
+        read_here.append(real_read(payload, dim))
+        return read_here[-1]
+
+    monkeypatch.setattr(tvd.scenario, "_read_compact", reading_here)
+    monkeypatch.setattr(tvd.scenario, "frozen", lambda a: freezes.append(a) or real_frozen(a))
+    forks = count_forks(monkeypatch)
+    arrays = tvd.scenario._read_arrays(tvd.scenario._splice(data)[1], 128, 2)
+    sent = [a for a in arrays.values() if all(a is not b for b in read_here)]
+    assert len(forks) == 1 and sent
+    # only the arrays read here were frozen: each sent one already views immutable bytes, and is not copied again
+    assert len(freezes) == len(read_here)
+    assert all(real_frozen(a) is a and not a.flags.writeable for a in sent)
+    assert {key: a.tobytes() for key, a in arrays.items()} == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("arrays", [True, False], ids=["with_arrays", "without_arrays"])
+@pytest.mark.parametrize("dim", [b"0", b"-1", b"true", b"2.0", b'"2"', b"null"])
+def test_a_dim_that_is_not_an_integer_of_at_least_one_is_a_dim_error(dim, arrays, cpus, monkeypatch):
+    data = FROZEN_SCENARIO_BYTES if arrays else b'{"dim":2,"requests":[],"schema_version":1}'
+    usable_cpus(monkeypatch, cpus, floor=1)
+    forks = count_forks(monkeypatch)
+    got = outcome(partial(tvd.scenario._parse_scenario, cpus=cpus), data.replace(b'"dim":2', b'"dim":' + dim))
+    assert got == ("error", "dim: dim must be an integer >= 1", "dim")
+    assert forks == []
 
 
 # the pattern at the first and at the last byte, at both length parities

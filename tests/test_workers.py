@@ -1,14 +1,31 @@
-"""The share protocol of the decode and format workers (``_workers.scatter``), one failure kind at a time."""
+"""How the decode and format workers count their shares (``_workers.share_count``) and share them (``_workers.scatter``).
+
+The protocol's failure kinds are tested one at a time.
+"""
 
 import os
 import signal
 
 import pytest
 from conftest import count_forks, send_half
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tvd._workers
 
 FAILING = 2
+
+
+@given(st.integers(0, 1 << 22), st.integers(1, 64))
+def test_each_share_holds_at_least_the_floor_and_work_below_twice_it_is_one_share(floats, cpus):
+    floor = tvd._workers.SHARE_FLOATS
+    count = tvd._workers.share_count(floats, cpus)
+    assert 1 <= count <= cpus
+    assert count == 1 or count * floor <= floats
+    if floats < 2 * floor:
+        assert count == 1
+    # no fewer shares than the CPUs and the floor allow
+    assert count == cpus or (count + 1) * floor > floats
 
 
 def raising():
