@@ -1,22 +1,23 @@
-"""Forked workers: the one fork, pipe and reap path for the parse, decode and format workers.
+"""Forked workers: the one fork, pipe and reap path of the parse, decode and format workers.
 
-The decode and format workers share one protocol (``scatter``) and one
-share count (``share_count``); the parse workers stream their own
-(``cli._parse_workers``). A child only parses, decodes or formats: it
-never calls BLAS, whose threads fork did not copy.
+The parse, decode and format workers share one protocol (``scatter``):
+each child sends its answers through a pipe, one frame per item, and the
+caller does itself whatever a child did not send. The decode and format
+workers also share one share count (``share_count``). A child only
+parses, decodes or formats: it never calls BLAS, whose threads fork did
+not copy.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import os
 import signal
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Sequence
 from functools import partial
 from typing import TypeVar
 
-_Share = TypeVar("_Share")
+_Item = TypeVar("_Item")
 
 # The fewest floats a decode or format share holds, so that its child pays for its fork,
 # pipe and reap. On a 2-vCPU VM (in process, medians of 40 pairs alternating one usable
@@ -64,49 +65,48 @@ def fork(work: Callable[[int], None]) -> tuple[int, io.BufferedReader] | None:
     return pid, open(read_fd, "rb")
 
 
-@contextlib.contextmanager
-def forked(works: list[Callable[[int], None]]) -> Iterator[list[io.BufferedReader | None]]:
-    """Yield the pipe each of ``works`` sends through from its own forked child (``fork``), or None where none started.
+def _send(encode: Callable[[_Item], bytes | memoryview], items: list[_Item], fd: int) -> None:
+    """Encode ``items`` in order, writing each answer to ``fd`` once it is whole, as a frame: its length (8 bytes, little-endian), then its bytes."""
+    # nothing of an answer is written before encode returns: a pipe filled early would
+    # hold the child until the caller, busy with an item of its own, came to read
+    with open(fd, "wb") as pipe:
+        for item in items:
+            answer = encode(item)
+            pipe.write(len(answer).to_bytes(8, "little"))
+            pipe.write(answer)
+            pipe.flush()
 
-    Every pipe is closed and every child killed and reaped on the way out,
-    whatever ends the block: a child still working for a caller that has
-    stopped reading is not waited for.
+
+def scatter(items: Sequence[_Item], owners: Sequence[int], run: Callable[[_Item], None],
+            encode: Callable[[_Item], bytes | memoryview], decode: Callable[[io.BufferedReader, int], bool]) -> None:
+    """Handle ``items`` in order: ``run`` here each one whose owner is 0, and take each other one from its owner's forked child.
+
+    Child ``k`` sends the ``encode`` of each item whose owner is ``k``, in
+    order (``_send``), and each frame goes to ``decode(pipe, size)``, which
+    returns False, keeping nothing, if the pipe ends before ``size`` bytes.
+    A full pipe holds a child until this process reads. An item whose child
+    did not start, failed, died or sent a short header or body is ``run``
+    here at its turn, and so is every later item of that child, so the
+    outcome is that of one process. Every pipe is closed and every child
+    killed and reaped before the call returns, whatever ends it: a child
+    still working for a caller that has stopped reading is not waited for.
     """
-    children: list[tuple[int, io.BufferedReader] | None] = []
+    children: list[tuple[int, io.BufferedReader]] = []
+    pipes: dict[int, io.BufferedReader] = {}
     try:
-        for work in works:
-            children.append(fork(work))
-        yield [child[1] if child else None for child in children]
+        for owner in sorted(set(owners) - {0}):
+            child = fork(partial(_send, encode, [item for item, k in zip(items, owners) if k == owner]))
+            if child is not None:
+                children.append(child)
+                pipes[owner] = child[1]
+        for item, owner in zip(items, owners):
+            pipe = pipes.get(owner)
+            header = pipe.read(8) if pipe is not None else b""
+            # a frame cut short ends its pipe, so the child's later items are run here too
+            if len(header) < 8 or not decode(pipe, int.from_bytes(header, "little")):
+                run(item)
     finally:
-        for pid, pipe in filter(None, children):
+        for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _send(encode: Callable[[_Share], bytes | memoryview], share: _Share, fd: int) -> None:
-    """Encode ``share`` in full, then write the answer's length (8 bytes, little-endian) and bytes to ``fd``."""
-    # nothing is written before encode returns: a pipe filled early would hold
-    # the child until the caller, busy with its own share, came to read
-    answer = encode(share)
-    with open(fd, "wb") as pipe:
-        pipe.write(len(answer).to_bytes(8, "little"))
-        pipe.write(answer)
-
-
-def scatter(shares: list[_Share], run: Callable[[_Share], None], encode: Callable[[_Share], bytes | memoryview],
-            decode: Callable[[io.BufferedReader, int], bool]) -> None:
-    """``run`` the first share here while one forked child per further share sends its ``encode`` (``_send``).
-
-    Then each child's answer goes, in share order, to ``decode(pipe, size)``,
-    which returns False, keeping nothing, if the pipe ends before ``size``
-    bytes. A share whose child did not start, failed, died or sent a short
-    header or body is ``run`` here at its turn, so the outcome is that of
-    one process. Every child is reaped before the call returns (``forked``).
-    """
-    with forked([partial(_send, encode, share) for share in shares[1:]]) as pipes:
-        run(shares[0])
-        for share, pipe in zip(shares[1:], pipes):
-            header = pipe.read(8) if pipe is not None else b""
-            if len(header) < 8 or not decode(pipe, int.from_bytes(header, "little")):
-                run(share)

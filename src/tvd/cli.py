@@ -5,10 +5,12 @@ scenarios, ``oracle`` re-derives every verdict from first principles and
 compares, ``selftest`` judges seeded draws of every detector with the oracle
 and replays the module invariant suites.
 
-``check`` over several files reads and parses the later ones in one forked
-child per further usable CPU (``_parse_workers``). A file the command parses
-itself (``oracle``'s, or ``check``'s with fewer files than usable CPUs) has
-its compact arrays read over its own CPU and the CPUs the files leave idle
+All three kinds of worker send their answers through ``_workers.scatter``.
+``check`` over several files deals them round-robin to one forked child per
+further usable CPU, which reads and parses its regular files and sends each
+scenario as one pickle. A file the command parses itself (``oracle``'s, or
+``check``'s with fewer files than usable CPUs) has its compact arrays read
+over its own CPU and the CPUs the files leave idle
 (``scenario._parse_scenario``), and ``models`` formats a scenario's rows over
 the usable CPUs (``serialize_scenario``), once the arrays are large enough to
 pay for a child (``_workers.SHARE_FLOATS``). Detectors run on the calling
@@ -27,15 +29,13 @@ configuration, 3 the oracle disagreed with a verdict.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import functools
+import io
 import math
 import os
 import pickle
 import stat
 import sys
-from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -128,10 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output file, or directory when several scenarios are given")
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
-                       help="accepted and ignored: later scenario files are parsed in "
-                            "one forked process per further usable CPU, CPUs left over "
-                            "read the large arrays of the files the command parses itself, "
-                            "and detectors run one scenario after another on the "
+                       help="accepted and ignored: scenario files are dealt round-robin "
+                            "to the command and one forked process per further usable CPU, "
+                            "which parses its files ahead and sends each one back; CPUs left "
+                            "over read the large arrays of the files the command parses "
+                            "itself, and detectors run one scenario after another on the "
                             "calling thread, which also writes every report")
     _add_shared_args(check)
 
@@ -177,61 +178,12 @@ def _run(scenario: Scenario, seed: int | None, overrides: dict[str, float]) -> t
     return tol, run_scenario(scenario, tolerances=tol, seed=seed)
 
 
-def _send_parsed(paths: list[Path], fd: int) -> None:
-    """Read and parse ``paths``, writing each scenario's pickle to ``fd`` as it is parsed, up to the first file that fails.
-
-    A full pipe holds the writer until the caller takes that scenario, so a
-    child is never more than one parsed file ahead of the caller.
-    """
-    with open(fd, "wb") as pipe:
-        for path in paths:
-            try:
-                scenario = _read_scenario(path)
-            except TvdError:
-                break
-            pickle.dump(scenario, pipe, pickle.HIGHEST_PROTOCOL)
-            pipe.flush()
-
-
 def _is_regular(path: Path) -> bool:
     """Whether ``path`` is a regular file, and not a FIFO, a terminal or a missing file."""
     try:
         return stat.S_ISREG(path.stat().st_mode)
     except OSError:
         return False
-
-
-@contextlib.contextmanager
-def _parse_workers(paths: list[Path]) -> Iterator[Callable[[int], Scenario]]:
-    """Yield ``scenario(i)``, the parsed ``paths[i]``, to be asked for in path order.
-
-    The paths are dealt round-robin into ``min(len(paths), usable CPUs)``
-    runs. This process reads the first run when asked; for each later run a
-    forked child (``_send_parsed``) reads and parses its regular files ahead
-    of time. A file no child sent (not a regular file, or its child failed,
-    died or could not start) is read here when asked, so every error comes
-    from the same path as with one CPU. A file read here has its arrays
-    read over this CPU and those the runs leave idle (``_parse_scenario``).
-    Every child is reaped on the way out, whatever ends the block.
-    """
-    cpus = _workers.usable_cpus()
-    runs = min(len(paths), cpus)
-    members = [[i for i in range(run, len(paths), runs) if _is_regular(paths[i])] for run in range(1, runs)]
-    members = [run for run in members if run]
-    with _workers.forked([functools.partial(_send_parsed, [paths[i] for i in run]) for run in members]) as pipes:
-        owners = {i: pipe for run, pipe in zip(members, pipes) if pipe is not None for i in run}
-
-        def scenario(i: int) -> Scenario:
-            pipe = owners.get(i)
-            if pipe is not None and not pipe.closed:
-                try:
-                    return pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    # a child that failed, or died, left its stream short: it sends nothing more
-                    pipe.close()
-            return _read_scenario(paths[i], cpus - runs + 1)
-
-        yield scenario
 
 
 def _render(report: Report, fmt: str) -> bytes:
@@ -253,9 +205,31 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise ConfigError(f"--out {out} is not a directory; several scenarios need a directory")
     # Detectors run one scenario after another on this thread: BLAS already
     # spreads each product over every core, and its thread count fixes report
-    # bits. Only reading and parsing, which never call BLAS, go to workers.
-    with _parse_workers(paths) as scenario:
-        payloads = [_render(_run(scenario(i), seed, overrides)[1], args.format) for i in range(len(paths))]
+    # bits. Only reading and parsing, which never call BLAS, go to workers:
+    # the files are dealt round-robin into min(files, usable CPUs) runs, and a
+    # child reads and parses the regular files of each later run ahead of time,
+    # held one file ahead by a full pipe. Any other file (a FIFO, say) is read
+    # here at its turn, and a file read here has its arrays read over the CPUs
+    # the runs leave idle.
+    cpus = _workers.usable_cpus()
+    runs = min(len(paths), cpus)
+    payloads: list[bytes] = []
+
+    def report(scenario: Scenario) -> None:
+        payloads.append(_render(_run(scenario, seed, overrides)[1], args.format))
+
+    def take(pipe: io.BufferedReader, size: int) -> bool:
+        sent = pipe.read(size)
+        if len(sent) < size:
+            return False
+        scenario = pickle.loads(sent)
+        del sent  # the frame is not held while the detectors run
+        report(scenario)
+        return True
+
+    _workers.scatter(paths, [i % runs if _is_regular(path) else 0 for i, path in enumerate(paths)],
+                     lambda path: report(_read_scenario(path, cpus - runs + 1)),
+                     lambda path: pickle.dumps(_read_scenario(path), pickle.HIGHEST_PROTOCOL), take)
 
     if out is None:
         for path, payload in zip(paths, payloads):

@@ -225,9 +225,9 @@ def canonical_dumps(value: object) -> bytes:
     """
     units = _units(value)
     buf = io.BytesIO()
-    _workers.scatter([units[start:stop] for start, stop in _slices(units, _workers.usable_cpus())],
-                     partial(_format, buf=buf), lambda units: _format(units, io.BytesIO()).getbuffer(),
-                     partial(_copy_formatted, buf))
+    slices = [units[start:stop] for start, stop in _slices(units, _workers.usable_cpus())]
+    _workers.scatter(slices, range(len(slices)), partial(_format, buf=buf),
+                     lambda units: _format(units, io.BytesIO()).getbuffer(), partial(_copy_formatted, buf))
     # the buffer itself, trimmed to size, not a copy of it
     return buf.getvalue()
 
@@ -328,15 +328,20 @@ def _read_compact(payload: bytes | memoryview, dim: int) -> np.ndarray | None:
 def _read_arrays(payloads: dict[str, memoryview], dim: int, cpus: int) -> dict[str, np.ndarray | None]:
     """Every payload read (``_read_compact``), by placeholder, over at most ``cpus`` processes; ``payloads`` is emptied.
 
-    The payloads' floats (``_shape``) give at most one share per payload
-    (``_workers.share_count``), dealt by byte size, largest first, each to
-    the share with the fewest bytes so far. A child sends each array as the
-    arguments that rebuild it here, over the bytes it views (``frozen``).
+    The payloads' floats (``_shape``) give at most one share per payload of
+    ``_workers.SHARE_FLOATS`` floats or more (``_workers.share_count``).
+    Those payloads are dealt first, then the others, each kind by byte
+    size, largest first, each payload to the share with the fewest bytes so
+    far; so each share opens with a payload of the floor. A child sends
+    each array as the arguments that rebuild it here, over the bytes it
+    views (``frozen``).
     """
-    floats = sum(math.prod(_shape(payload, dim)) for payload in payloads.values())
-    shares: list[dict[str, memoryview]] = [{} for _ in range(_workers.share_count(floats, min(cpus, len(payloads))))]
+    floats = {key: math.prod(_shape(payload, dim)) for key, payload in payloads.items()}
+    large = {key: n >= _workers.SHARE_FLOATS for key, n in floats.items()}
+    shares: list[dict[str, memoryview]] = [
+        {} for _ in range(_workers.share_count(sum(floats.values()), min(cpus, sum(large.values()))))]
     sizes = [0] * len(shares)
-    for key in sorted(payloads, key=lambda key: len(payloads[key]), reverse=True):
+    for key in sorted(payloads, key=lambda key: (large[key], len(payloads[key])), reverse=True):
         lightest = sizes.index(min(sizes))
         sizes[lightest] += len(payloads[key])
         shares[lightest][key] = payloads.pop(key)
@@ -351,7 +356,7 @@ def _read_arrays(payloads: dict[str, memoryview], dim: int, cpus: int) -> dict[s
             arrays.update((key, a if a is None else np.ndarray(*a)) for key, a in pickle.loads(sent).items())
         return len(sent) == size
 
-    _workers.scatter(shares, lambda share: arrays.update(read(share)), lambda share: pickle.dumps(
+    _workers.scatter(shares, range(len(shares)), lambda share: arrays.update(read(share)), lambda share: pickle.dumps(
         {key: a if a is None else (a.shape, a.dtype, _frozen_bytes(a)) for key, a in read(share).items()}), take)
     return arrays
 

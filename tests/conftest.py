@@ -59,7 +59,7 @@ def usable_cpus(monkeypatch, cpus: int, floor: int | None = None) -> None:
         monkeypatch.setattr(tvd._workers, "SHARE_FLOATS", floor)
 
 
-def send_half(encode, share, fd: int) -> None:
-    """A worker child's body (``tvd._workers._send``) that stops half way through its answer."""
-    answer = bytes(encode(share))
+def send_half(encode, items, fd: int) -> None:
+    """A worker child's body (``tvd._workers._send``) that stops half way through its first answer."""
+    answer = bytes(encode(items[0]))
     os.write(fd, len(answer).to_bytes(8, "little") + answer[: len(answer) // 2])

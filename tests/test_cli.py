@@ -524,7 +524,8 @@ def test_check_workers_read_what_a_failed_child_did_not_send(tmp_path, capsysbin
     argv = check_argv(SHIPPED + dim_64_files(tmp_path))
     usable_cpus(monkeypatch, 1)
     serial = run_cli(capsysbinary, *argv)
-    monkeypatch.setattr(tvd.cli, "_send_parsed", lambda paths, fd: os._exit(1))
+    # every failure kind of a child is tested on tvd._workers.scatter; this pins the parse fallback
+    monkeypatch.setattr(tvd._workers, "_send", send_half)
     usable_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     assert run_cli(capsysbinary, *argv) == serial
@@ -571,31 +572,13 @@ def test_check_reads_every_file_itself_when_no_pipe_can_be_opened(capsysbinary, 
     assert forks == []
 
 
-def test_child_sends_each_scenario_before_parsing_the_next(monkeypatch):
-    read_fd, write_fd = os.pipe()
-    os.set_blocking(read_fd, False)
-    waiting = []
-
-    def reading(path):
-        # the bytes already in the pipe when the next file is read
-        waiting.append(len(os.read(read_fd, 1 << 20)) if waiting else 0)
-        return parse_scenario(path.read_bytes())
-
-    monkeypatch.setattr(tvd.cli, "_read_scenario", reading)
-    try:
-        tvd.cli._send_parsed([CPT_LINK, KAON_DECAY], write_fd)
-    finally:
-        os.close(read_fd)
-    assert waiting[0] == 0 and waiting[1] > 0
-
-
 def test_check_workers_leave_a_fifo_to_the_calling_process(tmp_path, capsysbinary, monkeypatch):
     fifo = tmp_path / "fifo.json"
     os.mkfifo(fifo)
     sent = []
     real_fork = tvd._workers.fork
-    # each child's work is _send_parsed bound to its files
-    monkeypatch.setattr(tvd._workers, "fork", lambda work: sent.append(work.args[0]) or real_fork(work))
+    # each child's work is tvd._workers._send bound to an encode and the child's files
+    monkeypatch.setattr(tvd._workers, "fork", lambda work: sent.append(work.args[1]) or real_fork(work))
     usable_cpus(monkeypatch, 2)
     writer = threading.Thread(target=fifo.write_bytes, args=(CPT_LINK.read_bytes(),), daemon=True)
     writer.start()

@@ -869,6 +869,33 @@ def test_a_dim_128_model_is_written_and_read_with_workers_at_two_cpus(monkeypatc
     assert len(forks) == 2
 
 
+def test_states_beside_one_large_matrix_fork_no_decode_worker(monkeypatch):
+    # the matrix alone reaches the floor; the two states (1024 floats) would be a child's whole share
+    basis = np.eye(256, dtype=complex)
+    scenario = Scenario(dim=256, matrices={"hamiltonian": random_hermitian(256, 8)}, states={"e0": basis[0], "e1": basis[1]})
+    data = serialize_scenario(scenario)
+    usable_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert outcome(partial(tvd.scenario._parse_scenario, cpus=2), data) == outcome(parse_scenario, data)
+    assert forks == []
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 1 << 16)), min_size=1, max_size=8), st.integers(1, 8))
+def test_each_decode_share_holds_an_array_of_the_floor(arrays, cpus):
+    # at dim 128 a matrix holds 32768 floats, over the floor, and a state 256; the byte sizes are drawn
+    # apart from the float counts, as in a document whose number tokens are long
+    payloads = {f"a{i}": memoryview((b"[[[" if matrix else b"[") + b" " * size) for i, (matrix, size) in enumerate(arrays)}
+    floats = {key: 2 * 128 * 128 if matrix else 2 * 128 for key, (matrix, _) in zip(payloads, arrays)}
+    shares = []
+    with mock.patch.object(tvd._workers, "scatter", lambda items, *_: shares.extend(items)):
+        tvd.scenario._read_arrays(payloads, 128, cpus)
+    matrices = sum(matrix for matrix, _ in arrays)
+    assert len(shares) == max(1, min(cpus, matrices))
+    assert sorted(key for share in shares for key in share) == sorted(floats)
+    if len(shares) > 1:
+        assert all(sum(floats[key] for key in share) >= tvd._workers.SHARE_FLOATS for share in shares)
+
+
 def test_every_array_a_decode_worker_sends_comes_back_as_frozen_keeps_it(monkeypatch):
     data = serialize_scenario(build_model_scenario("t-symmetric-s", {"dim": 128}))
     serial = {key: a.tobytes() for key, a in tvd.scenario._read_arrays(tvd.scenario._splice(data)[1], 128, 1).items()}

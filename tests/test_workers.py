@@ -1,13 +1,14 @@
-"""How the decode and format workers count their shares (``_workers.share_count``) and share them (``_workers.scatter``).
+"""The one worker protocol (``_workers.scatter``), which the parse, decode and format workers share, and how the decode and format workers count their shares (``_workers.share_count``).
 
-The protocol's failure kinds are tested one at a time.
+The protocol's failure kinds are tested here, one at a time; each worker
+kind keeps one fallback pin of its own.
 """
 
 import os
 import signal
 
 import pytest
-from conftest import count_forks, send_half
+from conftest import count_forks
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -32,24 +33,37 @@ def raising():
     raise RuntimeError("worker failed")
 
 
-# what share 2's child does in its encode instead of answering, or sends instead of its answer
-FAILURES = {"exits": lambda: os._exit(1), "raises": raising, "killed": lambda: os.kill(os.getpid(), signal.SIGKILL)}
-SENDERS = {"short_header": lambda encode, share, fd: os.write(fd, b"\x01\x02"), "short_body": send_half}
+# what a child does, on the pipe it writes to, in place of the failing item's answer: the
+# first three end it in encode, the last two send a short frame and stop
+FAILURES = {
+    "exits": lambda fd, answer: os._exit(1),
+    "raises": lambda fd, answer: raising(),
+    "killed": lambda fd, answer: os.kill(os.getpid(), signal.SIGKILL),
+    "short_header": lambda fd, answer: os.write(fd, b"\x01\x02"),
+    "short_body": lambda fd, answer: os.write(fd, len(answer).to_bytes(8, "little") + answer[: len(answer) // 2]),
+}
+# items 1 and 4 go to child 1, items 2 and 5 to child 2, the others are run here
+OWNERS = [0, 1, 2, 0, 1, 2]
 
 
-def answer(share: int) -> bytes:
-    # share 2's is longer than a pipe holds (64 KiB): its child blocks on the write until the caller reads
-    return bytes([share]) * (1 << 22 if share == FAILING else 16)
+def answer(item: int) -> bytes:
+    # item 2's is longer than a pipe holds (64 KiB): its child blocks on the write until the caller reads
+    return bytes([item]) * (1 << 22 if item == 2 else 16)
 
 
-def scattered(kind: str, monkeypatch) -> tuple[list[str], list[int]]:
-    """What ``scatter`` did with shares 0 to 3, in order, when share 2's child fails as ``kind`` says; and its children."""
+def scattered(monkeypatch, kind: str = "answers", failing: int = -1) -> tuple[list[str], list[int]]:
+    """What ``scatter`` did with items 0 to 5, in order, when the child of item ``failing`` fails there as ``kind`` says; and its children."""
     done, forks = [], count_forks(monkeypatch)
+    real_send = tvd._workers._send
 
-    def encode(share):
-        if share == FAILING and kind in FAILURES:
-            FAILURES[kind]()
-        return answer(share)
+    def sending(encode, items, fd):
+        def failing_encode(item):
+            if item == failing:
+                FAILURES[kind](fd, answer(item))
+                os._exit(0)
+            return encode(item)
+
+        real_send(failing_encode, items, fd)
 
     def take(pipe, size):
         sent = pipe.read(size)
@@ -58,43 +72,51 @@ def scattered(kind: str, monkeypatch) -> tuple[list[str], list[int]]:
         done.append(f"took {sent[0]}")
         return True
 
-    tvd._workers.scatter([0, 1, 2, 3], lambda share: done.append(f"ran {share}"), encode, take)
+    monkeypatch.setattr(tvd._workers, "_send", sending)
+    tvd._workers.scatter(range(6), OWNERS, lambda item: done.append(f"ran {item}"), answer, take)
     return done, forks
 
 
-def test_each_child_answers_in_share_order(monkeypatch):
-    done, forks = scattered("answers", monkeypatch)
-    assert done == ["ran 0", "took 1", "took 2", "took 3"] and len(forks) == 3
+def test_each_child_answers_its_items_in_order(monkeypatch):
+    done, forks = scattered(monkeypatch)
+    assert done == ["ran 0", "took 1", "took 2", "ran 3", "took 4", "took 5"] and len(forks) == 2
 
 
-@pytest.mark.parametrize("kind", ["exits", "raises", "killed", "short_header", "short_body"])
-def test_a_share_whose_child_did_not_answer_is_run_by_the_caller_at_its_turn(kind, monkeypatch):
-    if kind in SENDERS:
-        real_send = tvd._workers._send
-        monkeypatch.setattr(tvd._workers, "_send", lambda encode, share, fd: (
-            SENDERS[kind] if share == FAILING else real_send)(encode, share, fd))
-    done, forks = scattered(kind, monkeypatch)
-    assert done == ["ran 0", "took 1", "ran 2", "took 3"] and len(forks) == 3
+@pytest.mark.parametrize("kind", sorted(FAILURES))
+@pytest.mark.parametrize("failing", [2, 5])
+def test_items_a_child_did_not_answer_are_run_by_the_caller_each_at_its_turn(kind, failing, monkeypatch):
+    done, forks = scattered(monkeypatch, kind, failing)
+    # child 2 sends nothing after the item it failed on, so the caller runs its later items too
+    child_2 = ["ran 2", "ran 5"] if failing == 2 else ["took 2", "ran 5"]
+    assert done == ["ran 0", "took 1", child_2[0], "ran 3", "took 4", child_2[1]] and len(forks) == 2
 
 
-def test_shares_whose_child_never_started_are_run_by_the_caller(monkeypatch):
+def test_items_whose_child_never_started_are_run_by_the_caller(monkeypatch):
     monkeypatch.setattr(tvd._workers, "fork", lambda work: None)
-    assert scattered("answers", monkeypatch) == (["ran 0", "ran 1", "ran 2", "ran 3"], [])
+    assert scattered(monkeypatch) == ([f"ran {item}" for item in range(6)], [])
 
 
-def test_a_child_writes_nothing_before_encode_returns():
+def test_a_child_writes_each_frame_whole_before_it_encodes_the_next_item():
     read_fd, write_fd = os.pipe()
     os.set_blocking(read_fd, False)
 
-    def encode(share):
-        # the pipe is still empty while the share is encoded
-        with pytest.raises(BlockingIOError):
-            os.read(read_fd, 1)
-        return answer(share)
+    def pending() -> bytes:
+        try:
+            return os.read(read_fd, 1 << 10)
+        except BlockingIOError:
+            return b""
+
+    waiting = []
+
+    def encode(item):
+        # what the pipe holds when each item's encoding starts
+        waiting.append(pending())
+        return answer(item)
 
     try:
-        tvd._workers._send(encode, 3, write_fd)
-        sent = os.read(read_fd, 1 << 10)
+        tvd._workers._send(encode, [3, 4], write_fd)
+        waiting.append(pending())
     finally:
         os.close(read_fd)
-    assert sent == (16).to_bytes(8, "little") + answer(3)
+    frames = [len(answer(item)).to_bytes(8, "little") + answer(item) for item in (3, 4)]
+    assert waiting == [b"", frames[0], frames[1]]
